@@ -2,8 +2,9 @@
  * @file
  * Plain-text table formatting for benchmark/report output.
  *
- * Every bench binary reproduces one of the paper's tables or figures;
- * this formatter renders their rows the way the paper reports them.
+ * Every figure reducer (sim/figures.hh) reproduces one of the paper's
+ * tables or figures; this formatter renders their rows the way the
+ * paper reports them.
  */
 
 #ifndef PPA_COMMON_TABLE_HH
@@ -26,6 +27,12 @@ class TextTable
 
     /** Append one row; the cell count must match the header count. */
     void addRow(std::vector<std::string> cells);
+
+    /** The rows added so far, in order (header excluded). */
+    const std::vector<std::vector<std::string>> &cells() const
+    {
+        return rows;
+    }
 
     /** Render the table, column-aligned, with a header separator. */
     std::string render() const;

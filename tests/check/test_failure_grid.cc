@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -51,13 +52,28 @@ class FailureGrid : public ::testing::TestWithParam<GridCase>
 };
 
 std::string
-caseName(const ::testing::TestParamInfo<GridCase> &info)
+gridName(const GridCase &c)
 {
-    std::string name = info.param.profile;
+    std::string name = c.profile;
     for (char &ch : name)
         if (!std::isalnum(static_cast<unsigned char>(ch)))
             ch = '_';
-    return name + "_t" + std::to_string(info.param.threads);
+    return name + "_t" + std::to_string(c.threads);
+}
+
+// gtest would otherwise print the raw bytes of the case (a string
+// pointer and padding among them) into every test name, so the names
+// would change from one build to the next.
+std::ostream &
+operator<<(std::ostream &os, const GridCase &c)
+{
+    return os << gridName(c);
+}
+
+std::string
+caseName(const ::testing::TestParamInfo<GridCase> &info)
+{
+    return gridName(info.param);
 }
 
 } // namespace

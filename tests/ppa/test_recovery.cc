@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "isa/program.hh"
 #include "sim/system.hh"
 #include "workload/kernels.hh"
@@ -83,6 +86,21 @@ struct Case
     Cycle failCycle;
 };
 
+std::string
+caseName(const Case &c)
+{
+    return std::string(c.kernel) + "_c" + std::to_string(c.failCycle);
+}
+
+// gtest would otherwise print the raw bytes of the case (a string
+// pointer among them) into every test name, so the names would change
+// from one build to the next.
+std::ostream &
+operator<<(std::ostream &os, const Case &c)
+{
+    return os << caseName(c);
+}
+
 class RecoverySweep : public ::testing::TestWithParam<Case>
 {
 };
@@ -107,8 +125,7 @@ INSTANTIATE_TEST_SUITE_P(
         Case{"kv", 700}, Case{"kv", 7000}, Case{"stencil", 900},
         Case{"stencil", 9000}),
     [](const ::testing::TestParamInfo<Case> &info) {
-        return std::string(info.param.kernel) + "_c" +
-               std::to_string(info.param.failCycle);
+        return caseName(info.param);
     });
 
 TEST(Recovery, FailureAtEveryEarlyCycle)

@@ -76,6 +76,25 @@ CASES = [
      "--burst-factor times --on-fraction must be at most 1"),
     (["serve", "--telemetry-trace", "/tmp/x.json"],
      "--telemetry-trace requires --telemetry"),
+    # sweep and bench numerics: garbage must not become a run of the
+    # leading digits, a figure default, or a 0% gate.
+    (["sweep", "fig11", "--insts", "12x"],
+     "--insts wants an unsigned integer"),
+    (["sweep", "fig11", "--insts", "abc"],
+     "--insts wants an unsigned integer"),
+    (["sweep", "fig11", "--jobs", "-2"], "--jobs wants an unsigned integer"),
+    (["sweep", "fig11", "--seed", "4.2"], "--seed wants an unsigned integer"),
+    (["bench", "--jobs", "two"], "--jobs wants an unsigned integer"),
+    (["bench", "--insts", "1e5"], "--insts wants an unsigned integer"),
+    (["bench", "--seed", ""], "--seed wants an unsigned integer"),
+    (["bench", "--reps", "0"], "--reps must be positive"),
+    (["bench", "--reps", "3x"], "--reps wants an unsigned integer"),
+    (["bench", "--time-parallel", "k"],
+     "--time-parallel wants an unsigned integer"),
+    (["bench", "--threshold", "abc"],
+     "--threshold wants a non-negative number"),
+    (["bench", "--threshold", "-5"],
+     "--threshold wants a non-negative number"),
 ]
 
 

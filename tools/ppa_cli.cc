@@ -171,7 +171,8 @@ void
 usageSweep()
 {
     std::printf(
-        "subcommand: sweep — run one figure's full grid in parallel\n"
+        "subcommand: sweep — run one figure's full grid in parallel "
+        "and print the figure\n"
         "  ppa_cli sweep FIGURE [options]\n"
         "  ppa_cli sweep --list    list the available figure sweeps\n"
         "  --jobs N            driver worker threads (default: "
@@ -478,12 +479,11 @@ sweepMain(int argc, char **argv)
             std::printf("%s", t.render().c_str());
             return 0;
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            jobs = static_cast<unsigned>(parseCount("--jobs", next()));
         } else if (arg == "--insts") {
-            insts = std::strtoull(next(), nullptr, 10);
+            insts = parseCount("--insts", next());
         } else if (arg == "--seed") {
-            seed = std::strtoull(next(), nullptr, 10);
+            seed = parseCount("--seed", next());
         } else if (arg == "--out") {
             outDir = next();
         } else if (arg == "--csv") {
@@ -577,9 +577,10 @@ sweepMain(int argc, char **argv)
                     results.size(), traceDir.c_str());
     }
 
+    FigureTable reduced = reduceFigure(fs.name, results);
     std::string jsonPath = outDir + "/" + fs.name + ".json";
-    if (!metrics::writeFile(jsonPath,
-                            metrics::sweepToJson(fs.name, results)))
+    if (!metrics::writeFile(jsonPath, metrics::sweepToJson(
+                                          fs.name, results, reduced.extra)))
         return 1;
     std::printf("wrote %s (%zu jobs)\n", jsonPath.c_str(),
                 results.size());
@@ -589,6 +590,7 @@ sweepMain(int argc, char **argv)
             return 1;
         std::printf("wrote %s\n", csvPath.c_str());
     }
+    std::printf("%s", reduced.render().c_str());
     return 0;
 }
 
@@ -853,16 +855,14 @@ benchMain(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            jobs = static_cast<unsigned>(parseCount("--jobs", next()));
         } else if (arg == "--insts") {
-            insts = std::strtoull(next(), nullptr, 10);
+            insts = parseCount("--insts", next());
         } else if (arg == "--seed") {
-            seed = std::strtoull(next(), nullptr, 10);
+            seed = parseCount("--seed", next());
         } else if (arg == "--reps") {
-            reps = std::max(
-                1u, static_cast<unsigned>(
-                        std::strtoul(next(), nullptr, 10)));
+            reps = static_cast<unsigned>(
+                parsePositiveCount("--reps", next()));
         } else if (arg == "--out") {
             outDir = next();
         } else if (arg == "--baseline") {
@@ -871,11 +871,11 @@ benchMain(int argc, char **argv)
             traceRoot = next();
         } else if (arg == "--time-parallel") {
             timeParallel = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+                parseCount("--time-parallel", next()));
         } else if (arg == "--telemetry") {
             telemetry = true;
         } else if (arg == "--threshold") {
-            thresholdPct = std::strtod(next(), nullptr);
+            thresholdPct = parseNonNegDouble("--threshold", next());
         } else if (arg == "--help" || arg == "-h") {
             usageBench();
             return 0;
