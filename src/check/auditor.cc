@@ -28,20 +28,21 @@ Auditor::Auditor(Core &audited_core, MemHierarchy &mem,
     ctx.core = core.id();
 }
 
-void
-Auditor::attach()
+AuditContext
+Auditor::context() const
 {
-    core.attachAuditObserver(this);
-    memory.writeBuffer(core.id()).setObserver(this);
+    AuditContext here = ctx;
+    here.cycle = core.cycle();
+    return here;
 }
 
 void
 Auditor::violation(const std::string &what)
 {
     ++violationsSeen;
-    PPA_AUDIT_ASSERT(!failFast, ctx, what);
+    PPA_AUDIT_ASSERT(!failFast, context(), what);
     if (recorded.size() < maxRecorded)
-        recorded.push_back({ctx, what});
+        recorded.push_back({context(), what});
 }
 
 void
@@ -58,12 +59,6 @@ Auditor::resetRegionShadow()
 // ---------------------------------------------------------------------
 // Core events
 // ---------------------------------------------------------------------
-
-void
-Auditor::onCycle(Cycle cycle)
-{
-    ctx.cycle = cycle;
-}
 
 void
 Auditor::onCommit(std::uint64_t stream_index, bool is_store)
@@ -304,10 +299,9 @@ Auditor::checkBoundaryInvariants()
 }
 
 void
-Auditor::onRegionBoundaryStart(RegionEndCause cause)
+Auditor::onRegionBoundaryStart(Cycle, RegionEndCause)
 {
     ++events;
-    (void)cause;
     checkBoundaryInvariants();
     inBoundary = true;
 }
@@ -316,7 +310,7 @@ void
 Auditor::onRegionBoundaryComplete()
 {
     ++events;
-    PPA_AUDIT_ASSERT(inBoundary, ctx,
+    PPA_AUDIT_ASSERT(inBoundary, context(),
                      "boundary completion without a boundary start");
     if (!core.csqRef().empty())
         violation("CSQ not empty after the region boundary");
@@ -332,21 +326,17 @@ Auditor::onRegionBoundaryComplete()
 // ---------------------------------------------------------------------
 
 void
-Auditor::onPersistEnqueue(Addr addr, Word value, bool coalesced)
+Auditor::onPersistEnqueue(Addr, Word, bool)
 {
     ++events;
-    (void)addr;
-    (void)value;
-    (void)coalesced;
     ++wbOutstanding;
 }
 
 void
-Auditor::onPersistIssue(Addr line_addr, unsigned store_count)
+Auditor::onPersistIssue(Addr, unsigned store_count)
 {
     ++events;
-    (void)line_addr;
-    PPA_AUDIT_ASSERT(store_count <= wbOutstanding, ctx,
+    PPA_AUDIT_ASSERT(store_count <= wbOutstanding, context(),
                      "write buffer issued ", store_count,
                      " stores with only ", wbOutstanding,
                      " outstanding");
@@ -436,7 +426,7 @@ Auditor::auditCheckpointImage(const CheckpointImage &image)
 }
 
 void
-Auditor::onPowerFail(const CheckpointImage &image)
+Auditor::onPowerFail(Cycle, const CheckpointImage &image)
 {
     ++events;
     auditCheckpointImage(image);
@@ -473,7 +463,7 @@ Auditor::resyncFromImage(const CheckpointImage &image)
 }
 
 void
-Auditor::onRecover(const CheckpointImage &image)
+Auditor::onRecover(Cycle, const CheckpointImage &image)
 {
     ++events;
     resyncFromImage(image);

@@ -2,8 +2,8 @@
  * @file
  * Persistence-invariant auditor (opt-in, read-only instrumentation).
  *
- * The Auditor implements every check::* observer interface and mirrors
- * the commit/persist pipeline of one core in shadow state of its own.
+ * The Auditor is a check::PipelineObserver that mirrors the
+ * commit/persist pipeline of one core in shadow state of its own.
  * Each event is validated against the invariants PPA's crash
  * consistency rests on:
  *
@@ -116,8 +116,9 @@ struct ReplayAuditResult
 };
 
 /**
- * The per-core invariant auditor. Construct one per core, attach, and
- * read violations()/counters at the end of the run.
+ * The per-core invariant auditor. Construct one per core, attach it
+ * with Core::attachObserver, and read violations()/counters at the end
+ * of the run.
  */
 class Auditor : public PipelineObserver
 {
@@ -131,14 +132,6 @@ class Auditor : public PipelineObserver
      */
     Auditor(Core &core, MemHierarchy &memory,
             std::shared_ptr<StoreOracle> oracle);
-
-    /**
-     * Hook this auditor into its core's commit pipeline, CSQ, MaskReg,
-     * and write buffer. Call again after MemHierarchy::powerFail(),
-     * which reconstructs the write buffers (Core re-attachment is
-     * idempotent).
-     */
-    void attach();
 
     /** Fail hard (PPA_AUDIT_ASSERT) on the first violation. */
     void setFailFast(bool on) { failFast = on; }
@@ -161,31 +154,25 @@ class Auditor : public PipelineObserver
     std::uint64_t violationCount() const { return violationsSeen; }
     std::uint64_t eventCount() const { return events; }
     std::uint64_t regionsAudited() const { return ctx.region; }
-    const AuditContext &context() const { return ctx; }
+    /** Where the auditor is now: core, current cycle, region. */
+    AuditContext context() const;
     const StoreOracle &oracle() const { return *shared; }
 
-    // ---- CoreObserver -------------------------------------------------
-    void onCycle(Cycle cycle) override;
+    // ---- PipelineObserver ---------------------------------------------
     void onCommit(std::uint64_t stream_index, bool is_store) override;
     void onStoreCommit(Addr addr, Word value, unsigned global_data_reg,
                        bool carries_value, bool to_io_buffer) override;
     void onAtomicCommit(Addr addr, Word value) override;
     void onRegFree(unsigned global_reg) override;
     void onRegWrite(unsigned global_reg) override;
-    void onRegionBoundaryStart(RegionEndCause cause) override;
+    void onRegionBoundaryStart(Cycle cycle, RegionEndCause cause) override;
     void onRegionBoundaryComplete() override;
-    void onPowerFail(const CheckpointImage &image) override;
-    void onRecover(const CheckpointImage &image) override;
-
-    // ---- CsqObserver --------------------------------------------------
+    void onPowerFail(Cycle cycle, const CheckpointImage &image) override;
+    void onRecover(Cycle cycle, const CheckpointImage &image) override;
     void onCsqPush(const CsqEntry &entry) override;
     void onCsqClear(std::size_t entries) override;
-
-    // ---- MaskRegObserver ----------------------------------------------
     void onMaskSet(unsigned global_reg) override;
     void onMaskClearAll(std::size_t masked) override;
-
-    // ---- WriteBufferObserver ------------------------------------------
     void onPersistEnqueue(Addr addr, Word value, bool coalesced) override;
     void onPersistIssue(Addr line_addr, unsigned store_count) override;
 
@@ -210,6 +197,7 @@ class Auditor : public PipelineObserver
     MemHierarchy &memory;
     std::shared_ptr<StoreOracle> shared;
 
+    /** Core and region; the cycle is read from the core on demand. */
     AuditContext ctx;
     bool failFast = false;
 

@@ -325,41 +325,33 @@ buildCorpus()
 // ---- engine helpers -----------------------------------------------
 
 /**
- * Records the cycles at which the audit observers saw persistency
- * action; the randomized explorer biases crash points toward them.
+ * Records the cycles at which a core and its write buffer saw
+ * persistency action; the randomized explorer biases crash points
+ * toward them.
  */
 class CrashBiasObserver : public PipelineObserver
 {
   public:
-    explicit CrashBiasObserver(std::set<Cycle> &out) : out(out) {}
+    CrashBiasObserver(const Core &core, std::set<Cycle> &out)
+        : core(core), out(out)
+    {
+    }
 
-    void onCycle(Cycle cycle) override { now = cycle; }
     void
-    onRegionBoundaryStart(RegionEndCause cause) override
+    onRegionBoundaryStart(Cycle cycle, RegionEndCause) override
     {
-        (void)cause;
-        out.insert(now);
-    }
-    void onRegionBoundaryComplete() override { out.insert(now); }
-    void
-    onPersistEnqueue(Addr addr, Word value, bool coalesced) override
-    {
-        (void)addr;
-        (void)value;
-        (void)coalesced;
-        out.insert(now);
+        out.insert(cycle);
     }
     void
-    onPersistIssue(Addr line_addr, unsigned store_count) override
+    onPersistEnqueue(Addr, Word, bool) override
     {
-        (void)line_addr;
-        (void)store_count;
-        out.insert(now);
+        out.insert(core.cycle());
     }
+    void onPersistIssue(Addr, unsigned) override { out.insert(core.cycle()); }
 
   private:
+    const Core &core;
     std::set<Cycle> &out;
-    Cycle now = 0;
 };
 
 /** One simulated instance of a litmus test: system plus sources. */
@@ -443,9 +435,9 @@ runReference(const LitmusTest &test, SystemVariant variant,
     auto run = makeRun(test, variant);
     std::vector<std::unique_ptr<CrashBiasObserver>> observers;
     for (unsigned t = 0; t < run->system.numCores(); ++t) {
-        observers.push_back(
-            std::make_unique<CrashBiasObserver>(interesting));
-        run->system.core(t).attachAuditObserver(observers.back().get());
+        observers.push_back(std::make_unique<CrashBiasObserver>(
+            run->system.core(t), interesting));
+        run->system.core(t).attachObserver(observers.back().get());
     }
     while (!run->system.allDone() && run->system.cycle() < maxCycles)
         run->system.tick();

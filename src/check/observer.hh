@@ -1,19 +1,21 @@
 /**
  * @file
- * Narrow observer interfaces for the persistence-invariant audit layer.
+ * The one observer interface of the simulator's event path.
  *
  * The pipeline structures whose interplay carries PPA's crash
  * consistency (Core commit/retire, the CSQ, the MaskReg, and the L1D
- * write buffer) each expose a tiny observer hook. All callbacks are
- * no-ops by default, the hooks are null by default, and nothing in the
- * simulator's behavior may depend on an observer being attached — the
- * audit layer (ppa::check::Auditor) is strictly read-only
- * instrumentation.
+ * write buffer) report their events to one PipelineObserver.
+ * Core::attachObserver wires a core and all of those structures at
+ * once; a second attached observer is fanned out to in attach order.
+ * Every callback is a no-op by default, the pointer is null by
+ * default, and nothing in the simulator's behavior may depend on an
+ * observer being attached: the invariant auditor (check::Auditor),
+ * the telemetry collector (obs::Telemetry) and the front ends'
+ * trackers are strictly read-only instrumentation.
  *
- * The interfaces live here, below every model library, so that
- * core/ppa/mem headers can include them without creating a dependency
- * on the audit implementation (src/check/auditor.*, library
- * ppa_check).
+ * The interface lives here, below every model library, so that
+ * core/ppa/mem headers can include it without depending on any
+ * observer implementation.
  */
 
 #ifndef PPA_CHECK_OBSERVER_HH
@@ -34,22 +36,55 @@ struct CheckpointImage;
 namespace check
 {
 
-/** Observes commit-pipeline events of one Core. */
-class CoreObserver
+/**
+ * Structural reasons a core cycle can stall on. At most one fires per
+ * cycle per core (Core asserts this): commit-side persist backpressure
+ * is attributed first, and the rename-side ROB-full symptom is only
+ * reported when no commit-side cause claimed the cycle.
+ */
+enum class StallReason : std::uint8_t
+{
+    /** No structural stall this cycle. */
+    None,
+    /** Rename blocked: ROB at capacity (and commit is not draining a
+     *  region — otherwise the drain cause owns the cycle). */
+    RobFull,
+    /** Commit blocked draining an implicit region boundary forced by
+     *  a full committed store queue (Section 4.2). */
+    CsqFull,
+    /** Commit blocked on the persist path with the write buffer or an
+     *  NVM write pending queue at capacity (structural backpressure). */
+    WpqFull,
+    /** Commit blocked waiting for persist acknowledgments while the
+     *  WB/WPQ have room: the drain is paced by NVM write bandwidth. */
+    NvmBandwidth,
+};
+
+/**
+ * Observes one core and its persistence structures. Callbacks fired in
+ * the middle of a tick can read the current cycle from Core::cycle().
+ */
+class PipelineObserver
 {
   public:
-    virtual ~CoreObserver() = default;
+    virtual ~PipelineObserver() = default;
 
-    /** Start of Core::tick for cycle @p cycle. */
-    virtual void onCycle(Cycle cycle) { (void)cycle; }
+    // ---- Core ------------------------------------------------------
+
+    /**
+     * End of Core::tick for cycle @p cycle. @p committed is the number
+     * of instructions retired this cycle and @p stall the cycle's
+     * structural-stall reason (StallReason::None if there was none).
+     */
+    virtual void
+    onCycleEnd(Cycle /*cycle*/, unsigned /*committed*/,
+               StallReason /*stall*/)
+    {
+    }
 
     /** An instruction retired (after all bookkeeping succeeded). */
     virtual void
-    onCommit(std::uint64_t stream_index, bool is_store)
-    {
-        (void)stream_index;
-        (void)is_store;
-    }
+    onCommit(std::uint64_t /*stream_index*/, bool /*is_store*/) {}
 
     /**
      * A store retired. Fired *before* the store's CSQ/MaskReg
@@ -65,97 +100,67 @@ class CoreObserver
      *        window and bypasses CSQ/NVM entirely
      */
     virtual void
-    onStoreCommit(Addr addr, Word value, unsigned global_data_reg,
-                  bool carries_value, bool to_io_buffer)
+    onStoreCommit(Addr /*addr*/, Word /*value*/,
+                  unsigned /*global_data_reg*/, bool /*carries_value*/,
+                  bool /*to_io_buffer*/)
     {
-        (void)addr;
-        (void)value;
-        (void)global_data_reg;
-        (void)carries_value;
-        (void)to_io_buffer;
     }
 
     /** An atomic RMW performed its synchronous persistent write. */
-    virtual void
-    onAtomicCommit(Addr addr, Word value)
-    {
-        (void)addr;
-        (void)value;
-    }
+    virtual void onAtomicCommit(Addr /*addr*/, Word /*value*/) {}
 
     /** A physical register returned to the free list. */
-    virtual void onRegFree(unsigned global_reg) { (void)global_reg; }
+    virtual void onRegFree(unsigned /*global_reg*/) {}
 
     /** A physical register was written back (newly produced value). */
-    virtual void onRegWrite(unsigned global_reg) { (void)global_reg; }
+    virtual void onRegWrite(unsigned /*global_reg*/) {}
 
     /**
-     * A region boundary is about to complete: the persist barrier's
-     * conditions are met, but deferred frees / MaskReg / CSQ clears
-     * have not happened yet. The auditor runs its end-of-region checks
-     * here, against the still-intact structures.
+     * A region boundary at @p cycle is about to complete: the persist
+     * barrier's conditions are met, but deferred frees / MaskReg / CSQ
+     * clears have not happened yet. The auditor runs its end-of-region
+     * checks here, against the still-intact structures.
      */
-    virtual void onRegionBoundaryStart(RegionEndCause cause)
-    {
-        (void)cause;
-    }
+    virtual void
+    onRegionBoundaryStart(Cycle /*cycle*/, RegionEndCause /*cause*/) {}
 
     /** The region boundary finished (structures cleared). */
     virtual void onRegionBoundaryComplete() {}
 
-    /** A power failure captured @p image (before volatile state drops). */
-    virtual void onPowerFail(const CheckpointImage &image)
-    {
-        (void)image;
-    }
+    /** A power failure at @p cycle captured @p image (before volatile
+     *  state drops). */
+    virtual void
+    onPowerFail(Cycle /*cycle*/, const CheckpointImage & /*image*/) {}
 
-    /** Recovery from @p image finished (RAT/CRT/CSQ/PRF restored). */
-    virtual void onRecover(const CheckpointImage &image) { (void)image; }
-};
+    /** Recovery from @p image finished at @p cycle (RAT/CRT/CSQ/PRF
+     *  restored). */
+    virtual void
+    onRecover(Cycle /*cycle*/, const CheckpointImage & /*image*/) {}
 
-/** Observes one Csq. */
-class CsqObserver
-{
-  public:
-    virtual ~CsqObserver() = default;
+    // ---- Csq -------------------------------------------------------
 
     /** @p entry was appended (committing store, in commit order). */
-    virtual void onCsqPush(const CsqEntry &entry) { (void)entry; }
+    virtual void onCsqPush(const CsqEntry & /*entry*/) {}
 
     /** The CSQ dropped all @p entries entries (region boundary). */
-    virtual void onCsqClear(std::size_t entries) { (void)entries; }
-};
+    virtual void onCsqClear(std::size_t /*entries*/) {}
 
-/** Observes one MaskReg. */
-class MaskRegObserver
-{
-  public:
-    virtual ~MaskRegObserver() = default;
+    // ---- MaskReg ---------------------------------------------------
 
     /** Bit @p global_reg was set (committed-store data operand). */
-    virtual void onMaskSet(unsigned global_reg) { (void)global_reg; }
+    virtual void onMaskSet(unsigned /*global_reg*/) {}
 
     /** All @p masked set bits cleared (region boundary). */
-    virtual void onMaskClearAll(std::size_t masked) { (void)masked; }
-};
+    virtual void onMaskClearAll(std::size_t /*masked*/) {}
 
-/** Observes one per-core WriteBuffer's persist path. */
-class WriteBufferObserver
-{
-  public:
-    virtual ~WriteBufferObserver() = default;
+    // ---- WriteBuffer (the core's persist path) ---------------------
 
     /**
      * A committed store's persist operation entered the buffer.
      * @param coalesced merged into an existing same-line entry
      */
     virtual void
-    onPersistEnqueue(Addr addr, Word value, bool coalesced)
-    {
-        (void)addr;
-        (void)value;
-        (void)coalesced;
-    }
+    onPersistEnqueue(Addr /*addr*/, Word /*value*/, bool /*coalesced*/) {}
 
     /**
      * An entry carrying @p store_count stores entered the NVM WPQ and
@@ -163,23 +168,7 @@ class WriteBufferObserver
      * the NVM image).
      */
     virtual void
-    onPersistIssue(Addr line_addr, unsigned store_count)
-    {
-        (void)line_addr;
-        (void)store_count;
-    }
-};
-
-/**
- * Convenience aggregate: one object observing a core and all of its
- * persistence structures. Core::attachAuditObserver takes this and
- * fans it out to the structure hooks.
- */
-class PipelineObserver : public CoreObserver,
-                         public CsqObserver,
-                         public MaskRegObserver,
-                         public WriteBufferObserver
-{
+    onPersistIssue(Addr /*line_addr*/, unsigned /*store_count*/) {}
 };
 
 } // namespace check

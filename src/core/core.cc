@@ -9,6 +9,89 @@
 namespace ppa
 {
 
+/**
+ * Forwards every event to each attached observer in attach order. A
+ * core points at one of these only while two or more observers are
+ * attached; with one, the core calls it directly.
+ */
+class ObserverFanOut final : public check::PipelineObserver
+{
+  public:
+    using Obs = check::PipelineObserver;
+
+    std::vector<Obs *> targets;
+
+    void
+    onCycleEnd(Cycle c, unsigned n, check::StallReason r) override
+    {
+        each(&Obs::onCycleEnd, c, n, r);
+    }
+    void
+    onCommit(std::uint64_t i, bool st) override
+    {
+        each(&Obs::onCommit, i, st);
+    }
+    void
+    onStoreCommit(Addr a, Word v, unsigned g, bool cv, bool io) override
+    {
+        each(&Obs::onStoreCommit, a, v, g, cv, io);
+    }
+    void
+    onAtomicCommit(Addr a, Word v) override
+    {
+        each(&Obs::onAtomicCommit, a, v);
+    }
+    void onRegFree(unsigned g) override { each(&Obs::onRegFree, g); }
+    void onRegWrite(unsigned g) override { each(&Obs::onRegWrite, g); }
+    void
+    onRegionBoundaryStart(Cycle c, RegionEndCause e) override
+    {
+        each(&Obs::onRegionBoundaryStart, c, e);
+    }
+    void
+    onRegionBoundaryComplete() override
+    {
+        each(&Obs::onRegionBoundaryComplete);
+    }
+    void
+    onPowerFail(Cycle c, const CheckpointImage &i) override
+    {
+        each(&Obs::onPowerFail, c, i);
+    }
+    void
+    onRecover(Cycle c, const CheckpointImage &i) override
+    {
+        each(&Obs::onRecover, c, i);
+    }
+    void onCsqPush(const CsqEntry &e) override { each(&Obs::onCsqPush, e); }
+    void onCsqClear(std::size_t n) override { each(&Obs::onCsqClear, n); }
+    void onMaskSet(unsigned g) override { each(&Obs::onMaskSet, g); }
+    void
+    onMaskClearAll(std::size_t n) override
+    {
+        each(&Obs::onMaskClearAll, n);
+    }
+    void
+    onPersistEnqueue(Addr a, Word v, bool co) override
+    {
+        each(&Obs::onPersistEnqueue, a, v, co);
+    }
+    void
+    onPersistIssue(Addr a, unsigned n) override
+    {
+        each(&Obs::onPersistIssue, a, n);
+    }
+
+  private:
+    template <typename... P, typename... A>
+    void
+    each(void (Obs::*fn)(P...), const A &...args)
+    {
+        for (Obs *o : targets)
+            (o->*fn)(args...);
+    }
+};
+
 Core::Core(const CoreParams &params, unsigned core_id, MemHierarchy &mem)
     : cfg(params), coreId(core_id), memory(mem),
       bpred(params.branchPredictorEntries),
@@ -179,17 +262,28 @@ Core::freePhysReg(RegClass cls, PhysReg r)
 {
     if (r == invalidPhysReg)
         return;
-    if (auditObs)
-        auditObs->onRegFree(flattenReg(cls, r));
+    if (observer)
+        observer->onRegFree(flattenReg(cls, r));
     freeList(cls).free(r);
 }
 
 void
-Core::attachAuditObserver(check::PipelineObserver *obs)
+Core::attachObserver(check::PipelineObserver *obs)
 {
-    auditObs = obs;
-    csq.setObserver(obs);
-    maskReg.setObserver(obs);
+    PPA_ASSERT(obs != nullptr, "attachObserver needs an observer");
+    if (observer && !fanOut) {
+        fanOut = std::make_unique<ObserverFanOut>();
+        fanOut->targets.push_back(observer);
+    }
+    if (fanOut) {
+        fanOut->targets.push_back(obs);
+        observer = fanOut.get();
+    } else {
+        observer = obs;
+    }
+    csq.setObserver(observer);
+    maskReg.setObserver(observer);
+    memory.writeBuffer(coreId).setObserver(observer);
 }
 
 // --------------------------------------------------------------------
@@ -321,8 +415,8 @@ Core::renameStage()
             // ROB-full is a symptom when commit is already draining a
             // region boundary; only claim the cycle if no commit-side
             // cause fired (commitStage ran earlier this tick).
-            if (telemHook && !stallNoted)
-                noteStructuralStall(obs::StallReason::RobFull);
+            if (observer && stallReason == check::StallReason::None)
+                noteStructuralStall(check::StallReason::RobFull);
             return;
         }
 
@@ -719,8 +813,8 @@ Core::writebackStage()
                 }
             }
         } else if (e->inst.hasDst()) {
-            if (auditObs)
-                auditObs->onRegWrite(flattenReg(e->inst.dst.cls,
+            if (observer)
+                observer->onRegWrite(flattenReg(e->inst.dst.cls,
                                                 e->newDst));
             prf(e->inst.dst.cls).write(e->newDst, e->execResult);
             wakeDependents(e->inst.dst.cls, e->newDst);
@@ -819,10 +913,8 @@ Core::regionBoundaryConditionsMet()
 void
 Core::completeRegionBoundary(RegionEndCause cause)
 {
-    if (auditObs)
-        auditObs->onRegionBoundaryStart(cause);
-    if (telemHook)
-        telemHook->onRegionBoundaryComplete(curCycle, cause);
+    if (observer)
+        observer->onRegionBoundaryStart(curCycle, cause);
     // Reclaim the physical registers whose release was deferred
     // because MaskReg marked them as committed-store operands.
     for (unsigned g : deferredFrees) {
@@ -834,8 +926,8 @@ Core::completeRegionBoundary(RegionEndCause cause)
     csq.clear();
     memory.writeBuffer(coreId).setDraining(false);
     regions.onRegionEnd(cause);
-    if (auditObs)
-        auditObs->onRegionBoundaryComplete();
+    if (observer)
+        observer->onRegionBoundaryComplete();
 }
 
 void
@@ -848,8 +940,8 @@ Core::retireStoreBookkeeping(RobEntry &e)
         // Irrevocable device write (Section 5): the battery-backed
         // I/O buffer makes the store persistent at commit — it never
         // enters the cache hierarchy, the CSQ, or replay.
-        if (auditObs) {
-            auditObs->onStoreCommit(s.addr, s.dataValue,
+        if (observer) {
+            observer->onStoreCommit(s.addr, s.dataValue,
                                     csqZeroRegIndex, false, true);
         }
         memory.ioBuffer().write(s.addr, s.dataValue);
@@ -860,11 +952,11 @@ Core::retireStoreBookkeeping(RobEntry &e)
     s.committed = true;
     committedStoreFifo.push_back(e.sqIndex);
 
-    if (auditObs && !s.isClwb) {
+    if (observer && !s.isClwb) {
         unsigned g = csqZeroRegIndex;
         if (!cfg.csqCarriesValues && s.dataReg != invalidPhysReg)
             g = flattenReg(s.dataCls, s.dataReg);
-        auditObs->onStoreCommit(s.addr, s.dataValue, g,
+        observer->onStoreCommit(s.addr, s.dataValue, g,
                                 cfg.csqCarriesValues, false);
     }
 
@@ -895,7 +987,7 @@ Core::commitOne(RobEntry &e)
     if (e.isBarrier) {
         if (!regionBoundaryConditionsMet()) {
             regions.onBoundaryStall();
-            if (telemHook)
+            if (observer)
                 noteStructuralStall(drainStallReason());
             return false;
         }
@@ -913,8 +1005,8 @@ Core::commitOne(RobEntry &e)
             // backpressure even while the drain itself waits on the
             // persist path (the WPQ/bandwidth split applies only to
             // boundaries the CSQ did not force).
-            if (telemHook)
-                noteStructuralStall(obs::StallReason::CsqFull);
+            if (observer)
+                noteStructuralStall(check::StallReason::CsqFull);
             return false;
         }
         completeRegionBoundary(RegionEndCause::CsqFull);
@@ -929,14 +1021,14 @@ Core::commitOne(RobEntry &e)
         if (cfg.mode == PersistMode::ReplayCache &&
             outstandingClwbs > 0) {
             regions.onBoundaryStall();
-            if (telemHook)
-                noteStructuralStall(obs::StallReason::NvmBandwidth);
+            if (observer)
+                noteStructuralStall(check::StallReason::NvmBandwidth);
             return false;
         }
         if (cfg.mode == PersistMode::Ppa) {
             if (!regionBoundaryConditionsMet()) {
                 regions.onBoundaryStall();
-                if (telemHook)
+                if (observer)
                     noteStructuralStall(drainStallReason());
                 return false;
             }
@@ -945,8 +1037,8 @@ Core::commitOne(RobEntry &e)
         if (cfg.mode == PersistMode::Capri && capri) {
             if (!capri->empty(curCycle)) {
                 regions.onBoundaryStall();
-                if (telemHook)
-                    noteStructuralStall(obs::StallReason::NvmBandwidth);
+                if (observer)
+                    noteStructuralStall(check::StallReason::NvmBandwidth);
                 return false;
             }
             capriInstsInRegion = 0;
@@ -966,7 +1058,7 @@ Core::commitOne(RobEntry &e)
         if (cfg.mode == PersistMode::Ppa) {
             if (!regionBoundaryConditionsMet()) {
                 regions.onBoundaryStall();
-                if (telemHook)
+                if (observer)
                     noteStructuralStall(drainStallReason());
                 return false;
             }
@@ -977,8 +1069,8 @@ Core::commitOne(RobEntry &e)
         if (cfg.mode == PersistMode::Ppa) {
             memory.atomicPersistWrite(coreId, inst.memAddr, old + delta,
                                       curCycle);
-            if (auditObs)
-                auditObs->onAtomicCommit(inst.memAddr, old + delta);
+            if (observer)
+                observer->onAtomicCommit(inst.memAddr, old + delta);
         } else {
             memory.committed().write(inst.memAddr, old + delta);
             // Timing/traffic for the RMW's cache access.
@@ -986,8 +1078,8 @@ Core::commitOne(RobEntry &e)
                               curCycle, false);
         }
         if (e.newDst != invalidPhysReg) {
-            if (auditObs)
-                auditObs->onRegWrite(flattenReg(inst.dst.cls, e.newDst));
+            if (observer)
+                observer->onRegWrite(flattenReg(inst.dst.cls, e.newDst));
             prf(inst.dst.cls).write(e.newDst, old);
             wakeDependents(inst.dst.cls, e.newDst);
         }
@@ -1038,8 +1130,8 @@ Core::commitOne(RobEntry &e)
 
     lcpc = inst.index;
     lcpcValid = true;
-    if (auditObs)
-        auditObs->onCommit(inst.index, inst.isStore());
+    if (observer)
+        observer->onCommit(inst.index, inst.isStore());
     ++commitCount;
     if (inst.isStore())
         ++storeCommitCount;
@@ -1066,8 +1158,8 @@ Core::commitStage()
         capriInstsInRegion == 0 && !rob.empty() &&
         !capri->empty(curCycle)) {
         regions.onBoundaryStall();
-        if (telemHook)
-            noteStructuralStall(obs::StallReason::NvmBandwidth);
+        if (observer)
+            noteStructuralStall(check::StallReason::NvmBandwidth);
         return;
     }
 
@@ -1087,8 +1179,6 @@ Core::commitStage()
 void
 Core::tick()
 {
-    if (auditObs)
-        auditObs->onCycle(curCycle);
     // Sample PRF occupancy at the renaming stage, every cycle
     // (Figure 5's methodology).
     freeIntHist.sample(intFreeList.size());
@@ -1101,33 +1191,28 @@ Core::tick()
     issueStage();
     renameStage();
     fetchStage();
-    if (telemHook) {
-        telemHook->onCycleEnd(
-            curCycle,
-            static_cast<unsigned>(commitCount - commits_before));
-        stallNoted = false;
+    if (observer) {
+        observer->onCycleEnd(
+            curCycle, static_cast<unsigned>(commitCount - commits_before),
+            stallReason);
+        stallReason = check::StallReason::None;
     }
     ++curCycle;
 }
 
 void
-Core::noteStructuralStall(obs::StallReason reason)
+Core::noteStructuralStall(check::StallReason reason)
 {
-    if (!telemHook)
-        return;
     // The attribution contract: at most one structural reason claims a
     // cycle. Re-noting the same reason (e.g. commit retried within one
     // cycle) is idempotent; a different reason is a plumbing bug.
-    PPA_ASSERT(!stallNoted || stallReason == reason,
+    PPA_ASSERT(stallReason == check::StallReason::None ||
+                   stallReason == reason,
                "two structural-stall reasons fired in one cycle");
-    if (stallNoted)
-        return;
-    stallNoted = true;
     stallReason = reason;
-    telemHook->onStructuralStall(reason);
 }
 
-obs::StallReason
+check::StallReason
 Core::drainStallReason() const
 {
     // A boundary drain waits on the persist path. Distinguish
@@ -1136,13 +1221,13 @@ Core::drainStallReason() const
     // just waiting for write latency/bandwidth -> NVM-bandwidth).
     const WriteBuffer &wb = memory.writeBuffer(coreId);
     if (wb.queuedEntries() >= wb.capacityEntries())
-        return obs::StallReason::WpqFull;
+        return check::StallReason::WpqFull;
     const Nvm &nvm = memory.nvm();
     for (unsigned mc = 0; mc < nvm.params().numControllers; ++mc) {
         if (nvm.wpqOccupancy(mc, curCycle) >= nvm.params().wpqEntries)
-            return obs::StallReason::WpqFull;
+            return check::StallReason::WpqFull;
     }
-    return obs::StallReason::NvmBandwidth;
+    return check::StallReason::NvmBandwidth;
 }
 
 bool
@@ -1203,10 +1288,8 @@ Core::powerFail()
         }
     }
 
-    if (auditObs)
-        auditObs->onPowerFail(image);
-    if (telemHook)
-        telemHook->onPowerFail(curCycle);
+    if (observer)
+        observer->onPowerFail(curCycle, image);
 
     // All volatile pipeline state evaporates.
     fetchQueue.clear();
@@ -1325,10 +1408,8 @@ Core::recover(const CheckpointImage &image)
     }
     fetchResumeCycle = curCycle;
 
-    if (auditObs)
-        auditObs->onRecover(image);
-    if (telemHook)
-        telemHook->onRecover(curCycle);
+    if (observer)
+        observer->onRecover(curCycle, image);
 }
 
 } // namespace ppa

@@ -51,7 +51,6 @@
 #include "isa/dyninst.hh"
 #include "isa/source.hh"
 #include "mem/hierarchy.hh"
-#include "obs/hooks.hh"
 #include "ppa/checkpoint.hh"
 #include "ppa/csq.hh"
 #include "ppa/mask_reg.hh"
@@ -61,6 +60,7 @@ namespace ppa
 {
 
 class CapriChannel;
+class ObserverFanOut;
 
 /**
  * One simulated out-of-order core.
@@ -148,25 +148,18 @@ class Core
     /** Index of this core within the system. */
     unsigned id() const { return coreId; }
 
-    // ---- audit instrumentation (read-only observers) ----------------
+    // ---- instrumentation (read-only observers) -----------------------
     /**
-     * Attach an invariant auditor: the core reports commit-pipeline
-     * events and fans the observer out to its CSQ and MaskReg.
-     * Idempotent; pass nullptr to detach.
+     * Attach @p obs to this core's event path: the core, its CSQ, its
+     * MaskReg and its write buffer all report to it. A second observer
+     * is fanned out to in attach order; with one observer the core
+     * calls it directly. Attach each observer once.
      */
-    void attachAuditObserver(check::PipelineObserver *obs);
+    void attachObserver(check::PipelineObserver *obs);
 
     /** Read-only views for audit cross-checks. */
     const Csq &csqRef() const { return csq; }
     const MaskReg &maskRegRef() const { return maskReg; }
-
-    // ---- telemetry instrumentation (read-only observer) --------------
-    /**
-     * Attach the in-run telemetry hook (obs::Telemetry). Null by
-     * default; with no hook the only overhead is a pointer test per
-     * callback site. Pass nullptr to detach.
-     */
-    void attachTelemetry(obs::TelemetryHook *hook) { telemHook = hook; }
 
     /** Occupancy views sampled by the telemetry counter series. */
     std::size_t robOccupancy() const { return rob.size(); }
@@ -312,8 +305,8 @@ class Core
     bool commitOne(RobEntry &e);
     void retireStoreBookkeeping(RobEntry &e);
     void releaseSqSlot(int idx);
-    void noteStructuralStall(obs::StallReason reason);
-    obs::StallReason drainStallReason() const;
+    void noteStructuralStall(check::StallReason reason);
+    check::StallReason drainStallReason() const;
 
     static std::size_t
     fwdHash(Addr word)
@@ -441,17 +434,16 @@ class Core
     std::uint64_t outstandingClwbs = 0;
     std::vector<Cycle> clwbAcks;
 
-    // ---- audit -----------------------------------------------------------
-    check::PipelineObserver *auditObs = nullptr;
-
-    // ---- telemetry -------------------------------------------------------
-    obs::TelemetryHook *telemHook = nullptr;
+    // ---- instrumentation -------------------------------------------------
+    /** The attached observer, or the fan-out over several; null when
+     *  none is attached. */
+    check::PipelineObserver *observer = nullptr;
+    std::unique_ptr<ObserverFanOut> fanOut;
     /** At most one structural-stall reason may fire per cycle; the
      *  commit-side cause is noted first (commit runs first in tick)
      *  and rename's ROB-full symptom only when nothing else claimed
      *  the cycle. noteStructuralStall PPA_ASSERTs the contract. */
-    bool stallNoted = false;
-    obs::StallReason stallReason = obs::StallReason::RobFull;
+    check::StallReason stallReason = check::StallReason::None;
 
     // ---- PPA state -------------------------------------------------------
     PhysRegIndexer regIndexer;

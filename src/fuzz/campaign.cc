@@ -144,7 +144,7 @@ recordAndReplay(const check::LitmusTest &test, const Violation &v,
         for (unsigned t = 0; t < n; ++t) {
             auditors.push_back(std::make_unique<check::Auditor>(
                 system.core(t), system.memory(), oracle));
-            auditors.back()->attach();
+            system.core(t).attachObserver(auditors.back().get());
         }
     }
 

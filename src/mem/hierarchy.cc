@@ -321,10 +321,10 @@ MemHierarchy::powerFail()
         dramCacheModel->invalidateAll();
     // Un-issued WB entries are volatile and vanish; issued entries are
     // in the WPQ (ADR domain) and were already applied to the NVM
-    // image. Reconstruct the write buffers empty, keeping any attached
-    // audit observer across the rebuild.
+    // image. Reconstruct the write buffers empty, keeping the owning
+    // core's observer across the rebuild.
     for (unsigned c = 0; c < numCores; ++c) {
-        check::WriteBufferObserver *obs = writeBuffers[c]->observer();
+        check::PipelineObserver *obs = writeBuffers[c]->observer();
         writeBuffers[c] = std::make_unique<WriteBuffer>(
             cfg.writeBufferEntries, cfg.l1d.lineBytes,
             cfg.wbCoalesceWindow);

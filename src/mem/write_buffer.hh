@@ -103,12 +103,13 @@ class WriteBuffer
     std::uint64_t persistOps() const { return statOps.value(); }
     std::uint64_t fullStalls() const { return statFullStall.value(); }
 
-    /** Audit hook (MemHierarchy::powerFail carries it across). */
-    void setObserver(check::WriteBufferObserver *observer)
+    /** Set by Core::attachObserver of the owning core;
+     *  MemHierarchy::powerFail carries it across the rebuild. */
+    void setObserver(check::PipelineObserver *observer)
     {
         obs = observer;
     }
-    check::WriteBufferObserver *observer() const { return obs; }
+    check::PipelineObserver *observer() const { return obs; }
 
   private:
     /** Largest supported persist granularity (words per line). */
@@ -140,7 +141,7 @@ class WriteBuffer
     stats::Counter statOps;
     stats::Counter statFullStall;
 
-    check::WriteBufferObserver *obs = nullptr;
+    check::PipelineObserver *obs = nullptr;
 };
 
 } // namespace ppa

@@ -63,10 +63,14 @@ cycleClassLabel(CycleClass c)
 namespace
 {
 
+using check::StallReason;
+
 CycleClass
 classOf(StallReason r)
 {
     switch (r) {
+      case StallReason::None:
+        break;
       case StallReason::RobFull:
         return CycleClass::RobFull;
       case StallReason::CsqFull:
@@ -299,7 +303,7 @@ appendTelemetry(TelemetryResult &dst, const TelemetryResult &seg,
  * go through const-safe accessors: sampling never perturbs the
  * simulated machine.
  */
-class Telemetry::CoreTelemetry final : public TelemetryHook
+class Telemetry::CoreTelemetry final : public check::PipelineObserver
 {
   public:
     CoreTelemetry(const TelemetryConfig &config, unsigned core_index,
@@ -326,17 +330,17 @@ class Telemetry::CoreTelemetry final : public TelemetryHook
             lastWriteBytes = mem->nvm().bytesWritten();
             lastReadBytes = readBytesNow();
         }
-        core->attachTelemetry(this);
+        core->attachObserver(this);
     }
 
     void
-    onCycleEnd(Cycle cycle, unsigned committed) override
+    onCycleEnd(Cycle cycle, unsigned committed, StallReason stall) override
     {
         CycleClass c;
         if (committed > 0) {
             c = CycleClass::Active;
-        } else if (haveReason) {
-            c = classOf(pendingReason);
+        } else if (stall != StallReason::None) {
+            c = classOf(stall);
         } else if (core->done()) {
             c = CycleClass::Idle;
         } else if (core->robOccupancy() == 0 &&
@@ -347,7 +351,10 @@ class Telemetry::CoreTelemetry final : public TelemetryHook
         }
         ++classCycles[static_cast<std::size_t>(c)];
         ++covered;
-        haveReason = false;
+        if (!haveDrainStart && isDrainReason(stall)) {
+            haveDrainStart = true;
+            drainStart = cycle;
+        }
         if (cycle == nextSample) {
             sampleNow(cycle);
             nextSample += cfg.sampleCycles;
@@ -355,18 +362,7 @@ class Telemetry::CoreTelemetry final : public TelemetryHook
     }
 
     void
-    onStructuralStall(StallReason reason) override
-    {
-        pendingReason = reason;
-        haveReason = true;
-        if (!haveDrainStart && isDrainReason(reason)) {
-            haveDrainStart = true;
-            drainStart = core->cycle();
-        }
-    }
-
-    void
-    onRegionBoundaryComplete(Cycle cycle, RegionEndCause cause) override
+    onRegionBoundaryStart(Cycle cycle, RegionEndCause cause) override
     {
         if (regionEvents.size() < kRegionEventCap) {
             TelemetryRegionEvent e;
@@ -384,7 +380,7 @@ class Telemetry::CoreTelemetry final : public TelemetryHook
     }
 
     void
-    onPowerFail(Cycle cycle) override
+    onPowerFail(Cycle cycle, const CheckpointImage &) override
     {
         TelemetryPowerEvent e;
         e.core = coreIndex;
@@ -393,7 +389,7 @@ class Telemetry::CoreTelemetry final : public TelemetryHook
     }
 
     void
-    onRecover(Cycle cycle) override
+    onRecover(Cycle cycle, const CheckpointImage &) override
     {
         if (!powerEvents.empty() && !powerEvents.back().recovered) {
             powerEvents.back().recover = cycle;
@@ -553,8 +549,6 @@ class Telemetry::CoreTelemetry final : public TelemetryHook
     // Cycle classification.
     std::uint64_t classCycles[kCycleClassCount] = {};
     std::uint64_t covered = 0;
-    StallReason pendingReason = StallReason::RobFull;
-    bool haveReason = false;
 
     // Counter series.
     Accum robAcc, fetchAcc, readyAcc, csqAcc, wbAcc, freePrfAcc;

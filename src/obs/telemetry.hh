@@ -3,8 +3,8 @@
  * In-run telemetry: sampled counter time-series, region/power-failure
  * timelines, and per-cycle stall attribution (docs/TELEMETRY.md).
  *
- * The collector (obs::Telemetry) attaches one TelemetryHook per core
- * through the same narrow-observer pattern as the audit layer. Every
+ * The collector (obs::Telemetry) attaches one check::PipelineObserver
+ * per core through Core::attachObserver, as the audit layer does. Every
  * telemetrySampleCycles cycles it records the occupancy of the ROB,
  * fetch and ready queues, CSQ, write buffer, free PRF, plus
  * system-wide WPQ occupancy and interval NVM read/write bytes, into
@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "obs/hooks.hh"
+#include "check/observer.hh"
 
 namespace ppa
 {
@@ -42,7 +42,7 @@ namespace obs
 
 /**
  * Exactly-one-per-cycle attribution buckets. The first six mirror the
- * structural StallReason taxonomy; Active/Other/Idle make the
+ * structural check::StallReason taxonomy; Active/Other/Idle make the
  * partition total: per core, the bucket counts sum to the number of
  * covered cycles (the acceptance check `ppa_cli profile` prints).
  */

@@ -113,13 +113,14 @@ class Csq
         entries = saved;
     }
 
-    /** Audit hook; restore() fires no events (recovery resyncs). */
-    void setObserver(check::CsqObserver *observer) { obs = observer; }
+    /** Set by Core::attachObserver; restore() fires no events
+     *  (recovery resyncs). */
+    void setObserver(check::PipelineObserver *observer) { obs = observer; }
 
   private:
     unsigned capacity = 40;
     std::deque<CsqEntry> entries;
-    check::CsqObserver *obs = nullptr;
+    check::PipelineObserver *obs = nullptr;
 };
 
 } // namespace ppa

@@ -133,13 +133,14 @@ class MaskReg
 
     const PhysRegIndexer &indexer() const { return idx; }
 
-    /** Audit hook; restore() fires no events (recovery resyncs). */
-    void setObserver(check::MaskRegObserver *observer) { obs = observer; }
+    /** Set by Core::attachObserver; restore() fires no events
+     *  (recovery resyncs). */
+    void setObserver(check::PipelineObserver *observer) { obs = observer; }
 
   private:
     PhysRegIndexer idx;
     BitVector bits;
-    check::MaskRegObserver *obs = nullptr;
+    check::PipelineObserver *obs = nullptr;
 };
 
 } // namespace ppa

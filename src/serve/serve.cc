@@ -126,37 +126,33 @@ systemVariantFor(ServeVariant v)
 
 /**
  * Records the commit cycle of every ack store — the completion event
- * of each request. Uses the audit-observer slot (telemetry has its
- * own hook slot, so both coexist).
+ * of each request.
  */
 class AckTracker : public check::PipelineObserver
 {
   public:
-    explicit AckTracker(Addr ack) : ackWord(MemImage::wordAlign(ack)) {}
-
-    void onCycle(Cycle cycle) override { now = cycle; }
+    AckTracker(const Core &core, Addr ack)
+        : core(core), ackWord(MemImage::wordAlign(ack))
+    {
+    }
 
     void
-    onStoreCommit(Addr addr, Word value, unsigned global_data_reg,
-                  bool carries_value, bool to_io_buffer) override
+    onStoreCommit(Addr addr, Word value, unsigned, bool, bool) override
     {
-        (void)global_data_reg;
-        (void)carries_value;
-        (void)to_io_buffer;
         if (addr != ackWord)
             return;
         PPA_ASSERT(value == ackCycles.size() + 1,
                    "ack sequence out of order: store carries ", value,
                    " but ", ackCycles.size(), " requests completed");
-        ackCycles.push_back(now);
+        ackCycles.push_back(core.cycle());
     }
 
     /** Commit cycle of request i (0-based; sequence number i + 1). */
     std::vector<Cycle> ackCycles;
 
   private:
+    const Core &core;
     Addr ackWord;
-    Cycle now = 0;
 };
 
 /** One fully wired simulation instance (system, streams, transforms,
@@ -210,10 +206,9 @@ makeRun(const ServeConfig &cfg, ServeVariant variant)
         }
         run.system->bindSource(t, src);
 
-        run.trackers.push_back(
-            std::make_unique<AckTracker>(ackAddr(t)));
-        run.system->core(t).attachAuditObserver(
-            run.trackers.back().get());
+        run.trackers.push_back(std::make_unique<AckTracker>(
+            run.system->core(t), ackAddr(t)));
+        run.system->core(t).attachObserver(run.trackers.back().get());
     }
     return run;
 }

@@ -190,7 +190,7 @@ runWorkload(const WorkloadProfile &profile, SystemVariant variant,
         for (unsigned t = 0; t < threads; ++t) {
             auditors.push_back(std::make_unique<check::Auditor>(
                 system.core(t), system.memory(), oracle));
-            auditors.back()->attach();
+            system.core(t).attachObserver(auditors.back().get());
         }
     }
     PPA_ASSERT(knobs.failAtCycles.empty() ||

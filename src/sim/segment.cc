@@ -140,7 +140,7 @@ runSegment(const WorkloadProfile &profile, SystemVariant variant,
         for (unsigned t = 0; t < threads; ++t) {
             auditors.push_back(std::make_unique<check::Auditor>(
                 system.core(t), system.memory(), oracle));
-            auditors.back()->attach();
+            system.core(t).attachObserver(auditors.back().get());
         }
     }
     PPA_ASSERT(seg.failAt.empty() || sc.core.mode == PersistMode::Ppa,

@@ -110,7 +110,7 @@ TEST(Auditor, CleanKernelRunsProduceZeroViolations)
         system.seedMemory(c.prog.initialMemory());
         auto oracle = std::make_shared<StoreOracle>();
         Auditor aud(system.core(0), system.memory(), oracle);
-        aud.attach();
+        system.core(0).attachObserver(&aud);
 
         ProgramExecutor source(c.prog);
         system.bindSource(0, &source);
@@ -135,7 +135,7 @@ TEST(Auditor, CrashRecoveryReplaysExactlyAndStaysClean)
     system.seedMemory(prog.initialMemory());
     auto oracle = std::make_shared<StoreOracle>();
     Auditor aud(system.core(0), system.memory(), oracle);
-    aud.attach();
+    system.core(0).attachObserver(&aud);
 
     ProgramExecutor source(prog);
     system.bindSource(0, &source);
@@ -218,7 +218,7 @@ TEST(Auditor, FlagsPinnedRegisterOverwriteAndFree)
     // Resync the shadow from a checkpoint whose CSQ pins phys reg 5,
     // then violate store integrity both ways.
     Harness h;
-    h.aud.onRecover(regCarriedImage());
+    h.aud.onRecover(0, regCarriedImage());
     h.aud.onRegWrite(5);
     ASSERT_EQ(h.aud.violationCount(), 1u);
     EXPECT_NE(h.aud.violations()[0].what.find(
@@ -240,18 +240,18 @@ TEST(Auditor, FlagsCheckpointThatCorruptsAStoreValue)
     // The shadow says reg 5 carried committed value 77; a checkpoint
     // claiming 78 has lost store integrity before the power failure.
     Harness h;
-    h.aud.onRecover(regCarriedImage());
+    h.aud.onRecover(0, regCarriedImage());
     CheckpointImage bad = regCarriedImage();
     bad.physRegValues[5] = 78;
-    h.aud.onPowerFail(bad);
+    h.aud.onPowerFail(0, bad);
     ASSERT_EQ(h.aud.violationCount(), 1u);
     EXPECT_NE(h.aud.violations()[0].what.find("store integrity lost"),
               std::string::npos);
 
     // The uncorrupted image audits clean.
     Harness h2;
-    h2.aud.onRecover(regCarriedImage());
-    h2.aud.onPowerFail(regCarriedImage());
+    h2.aud.onRecover(0, regCarriedImage());
+    h2.aud.onPowerFail(0, regCarriedImage());
     EXPECT_EQ(h2.aud.violationCount(), 0u);
 }
 
@@ -261,18 +261,23 @@ namespace
 /** Records the cycles at which region-boundary events fire. */
 struct BoundaryRecorder : check::PipelineObserver
 {
-    Cycle now = 0;
+    const Core &core;
     std::vector<Cycle> starts;
     std::vector<Cycle> completes;
 
-    void onCycle(Cycle cycle) override { now = cycle; }
+    explicit BoundaryRecorder(const Core &c) : core(c) {}
+
     void
-    onRegionBoundaryStart(RegionEndCause cause) override
+    onRegionBoundaryStart(Cycle cycle, RegionEndCause cause) override
     {
         (void)cause;
-        starts.push_back(now);
+        starts.push_back(cycle);
     }
-    void onRegionBoundaryComplete() override { completes.push_back(now); }
+    void
+    onRegionBoundaryComplete() override
+    {
+        completes.push_back(core.cycle());
+    }
 };
 
 /** Stores at @p stride-spaced lines, a fence, more stores, halt. */
@@ -306,10 +311,10 @@ TEST(Auditor, CrashInsideTheDrainToBoundaryWindowRecoversClean)
     ProgramExecutor golden(prog);
     golden.totalLength();
 
-    BoundaryRecorder recorder;
     System scout(ppaConfig());
+    BoundaryRecorder recorder(scout.core(0));
     scout.seedMemory(prog.initialMemory());
-    scout.core(0).attachAuditObserver(&recorder);
+    scout.core(0).attachObserver(&recorder);
     ProgramExecutor scoutSource(prog);
     scout.bindSource(0, &scoutSource);
     scout.run(1'000'000);
@@ -327,7 +332,7 @@ TEST(Auditor, CrashInsideTheDrainToBoundaryWindowRecoversClean)
         system.seedMemory(prog.initialMemory());
         auto oracle = std::make_shared<StoreOracle>();
         Auditor aud(system.core(0), system.memory(), oracle);
-        aud.attach();
+        system.core(0).attachObserver(&aud);
         ProgramExecutor source(prog);
         system.bindSource(0, &source);
 
@@ -360,10 +365,10 @@ TEST(Auditor, BackToBackZeroLengthRegionsStayClean)
     ProgramExecutor golden(prog);
     golden.totalLength();
 
-    BoundaryRecorder recorder;
     System scout(ppaConfig());
+    BoundaryRecorder recorder(scout.core(0));
     scout.seedMemory(prog.initialMemory());
-    scout.core(0).attachAuditObserver(&recorder);
+    scout.core(0).attachObserver(&recorder);
     ProgramExecutor scoutSource(prog);
     scout.bindSource(0, &scoutSource);
     scout.run(1'000'000);
@@ -378,7 +383,7 @@ TEST(Auditor, BackToBackZeroLengthRegionsStayClean)
     clean.seedMemory(prog.initialMemory());
     auto cleanOracle = std::make_shared<StoreOracle>();
     Auditor cleanAud(clean.core(0), clean.memory(), cleanOracle);
-    cleanAud.attach();
+    clean.core(0).attachObserver(&cleanAud);
     ProgramExecutor cleanSource(prog);
     clean.bindSource(0, &cleanSource);
     clean.run(1'000'000);
@@ -393,7 +398,7 @@ TEST(Auditor, BackToBackZeroLengthRegionsStayClean)
         system.seedMemory(prog.initialMemory());
         auto oracle = std::make_shared<StoreOracle>();
         Auditor aud(system.core(0), system.memory(), oracle);
-        aud.attach();
+        system.core(0).attachObserver(&aud);
         ProgramExecutor source(prog);
         system.bindSource(0, &source);
 

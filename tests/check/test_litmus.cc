@@ -12,12 +12,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "check/litmus.hh"
 #include "check/model.hh"
+#include "check/observer.hh"
+#include "sim/system.hh"
 
 using namespace ppa;
 using check::ExploreMode;
@@ -187,6 +190,82 @@ TEST(LitmusEngine, RandomizedModeIsDeterministicPerSeed)
     EXPECT_EQ(a.distinctOutcomes, b.distinctOutcomes);
     EXPECT_EQ(a.requiredSeen, b.requiredSeen);
     EXPECT_EQ(a.violations, 0u);
+}
+
+namespace
+{
+
+/** Records the system cycle of every persist enqueue and issue. */
+struct PersistCycles : check::PipelineObserver
+{
+    const System &system;
+    std::set<Cycle> cycles;
+
+    explicit PersistCycles(const System &s) : system(s) {}
+
+    void
+    onPersistEnqueue(Addr addr, Word value, bool coalesced) override
+    {
+        (void)addr;
+        (void)value;
+        (void)coalesced;
+        cycles.insert(system.cycle());
+    }
+    void
+    onPersistIssue(Addr line_addr, unsigned store_count) override
+    {
+        (void)line_addr;
+        (void)store_count;
+        cycles.insert(system.cycle());
+    }
+};
+
+} // namespace
+
+TEST(LitmusEngine, CrashBiasSeesEveryPersistPathCycle)
+{
+    // The randomized explorer aims half its crash points at the cycles
+    // runReference reports. Replay the same test with a recorder on
+    // each write buffer alone: every cycle in which a persist entered
+    // or left a write buffer must be among those reported.
+    for (const char *name : {"csq-overflow", "wpq-pressure"}) {
+        const LitmusTest *test = check::findLitmusTest(name);
+        ASSERT_NE(test, nullptr) << name;
+        const Cycle cap = LitmusOptions{}.maxCycles;
+        check::ReferenceSummary ref =
+            check::runReference(*test, SystemVariant::Ppa, cap);
+        ASSERT_TRUE(ref.completed) << name;
+
+        const auto n = static_cast<unsigned>(test->threads.size());
+        ExperimentKnobs knobs;
+        knobs.threads = n;
+        System system(makeSystemConfig(SystemVariant::Ppa, knobs, n));
+        std::vector<std::unique_ptr<ProgramExecutor>> execs;
+        PersistCycles rec(system);
+        for (unsigned t = 0; t < n; ++t)
+            system.seedMemory(test->threads[t].initialMemory());
+        for (unsigned t = 0; t < n; ++t) {
+            execs.push_back(
+                std::make_unique<ProgramExecutor>(test->threads[t]));
+            system.bindSource(t, execs.back().get());
+            system.memory().writeBuffer(t).setObserver(&rec);
+        }
+        while (!system.allDone() && system.cycle() < cap)
+            system.tick();
+        ASSERT_EQ(system.cycle(), ref.endCycle) << name;
+
+        ASSERT_FALSE(rec.cycles.empty()) << name;
+        const std::set<Cycle> hot(ref.interesting.begin(),
+                                  ref.interesting.end());
+        std::vector<Cycle> missed;
+        for (Cycle c : rec.cycles) {
+            if (!hot.count(c))
+                missed.push_back(c);
+        }
+        EXPECT_TRUE(missed.empty())
+            << name << ": " << missed.size() << " of " << rec.cycles.size()
+            << " persist cycles unreported, first " << missed.front();
+    }
 }
 
 TEST(LitmusEngine, UnsupportedVariantReportsCorpusError)

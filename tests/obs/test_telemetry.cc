@@ -215,3 +215,28 @@ TEST(Telemetry, RegionAndPowerTimelines)
     EXPECT_LE(t.powerEvents[0].fail, t.powerEvents[0].recover);
     EXPECT_EQ(rs.powerFailures, 1u);
 }
+
+TEST(Telemetry, FanOutMatchesEachObserverAlone)
+{
+    // --audit --telemetry attaches two observers to every core; the
+    // core fans its events out to both. Each must see exactly what it
+    // sees when attached alone.
+    auto run = [](bool audit, bool telemetry) {
+        ExperimentKnobs k = telemetryKnobs();
+        k.audit = audit;
+        k.telemetry = telemetry;
+        k.failAtCycles = {2'000};
+        return runWorkload(profileByName("gcc"), SystemVariant::Ppa, k);
+    };
+    RunStats auditOnly = run(true, false);
+    RunStats telemetryOnly = run(false, true);
+    RunStats both = run(true, true);
+
+    EXPECT_GT(auditOnly.auditEvents, 0u);
+    EXPECT_EQ(both.auditEvents, auditOnly.auditEvents);
+    EXPECT_EQ(both.auditViolations, auditOnly.auditViolations);
+    EXPECT_EQ(both.powerFailures, 1u);
+    ASSERT_TRUE(both.telemetry.enabled);
+    EXPECT_EQ(metrics::telemetryToJson(both.telemetry),
+              metrics::telemetryToJson(telemetryOnly.telemetry));
+}

@@ -181,14 +181,17 @@ TEST(CheckpointIo, EmptyCsqFromRealBoundaryRoundTripsAndRecovers)
 namespace
 {
 
-/** Records the cycle of every region-boundary completion. */
+/** Records the cycle of every region boundary. */
 struct BoundaryRecorder : check::PipelineObserver
 {
-    Cycle cur = 0;
     std::vector<Cycle> boundaries;
 
-    void onCycle(Cycle c) override { cur = c; }
-    void onRegionBoundaryComplete() override { boundaries.push_back(cur); }
+    void
+    onRegionBoundaryStart(Cycle cycle, RegionEndCause cause) override
+    {
+        (void)cause;
+        boundaries.push_back(cycle);
+    }
 };
 
 } // namespace
@@ -197,7 +200,7 @@ TEST(CheckpointIo, FailureExactlyAtRegionBoundaryCycle)
 {
     // Edge case: the failure cycle coincides exactly with a region
     // boundary. First run records the boundary cycles via the audit
-    // observer hooks; a fresh, deterministic rerun is then killed at
+    // core's observer; a fresh, deterministic rerun is then killed at
     // precisely such a cycle and must recover to the golden state.
     Program prog = kernels::hashTableUpdate(120);
     ProgramExecutor golden(prog);
@@ -212,7 +215,7 @@ TEST(CheckpointIo, FailureExactlyAtRegionBoundaryCycle)
         ProgramExecutor source(prog);
         probe.bindSource(0, &source);
         BoundaryRecorder rec;
-        probe.core(0).attachAuditObserver(&rec);
+        probe.core(0).attachObserver(&rec);
         probe.run(40'000'000);
         ASSERT_TRUE(probe.allDone());
         boundaries = rec.boundaries;

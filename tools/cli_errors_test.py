@@ -124,6 +124,10 @@ CASES = [
     (["--app", "gcc", "--csq", "0"], "--csq must be positive"),
     (["--app", "gcc", "--wpq", "0"], "--wpq must be positive"),
     (["--app", "gcc", "--insts", "0"], "--insts must be positive"),
+    # a register file no larger than the architectural map cannot
+    # rename (the run stalls to the cycle cap and still exits 0).
+    (["--app", "gcc", "--int-prf", "8"], "--int-prf must be at least 17"),
+    (["--app", "gcc", "--fp-prf", "0"], "--fp-prf must be at least 33"),
     (["trace", "record", "--app", "gcc", "--out", "/dev/null/ppa-trace",
       "--block-insts", "0"], "--block-insts must be positive"),
     (["trace", "record", "--app", "gcc", "--out", "/dev/null/ppa-trace",

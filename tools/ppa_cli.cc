@@ -39,6 +39,7 @@
 #include "common/table.hh"
 #include "fuzz/campaign.hh"
 #include "fuzz/shrink.hh"
+#include "isa/arch.hh"
 #include "obs/telemetry.hh"
 #include "obs/trace_export.hh"
 #include "serve/serve.hh"
@@ -152,7 +153,7 @@ struct Flag
     const char *name;
     unsigned scopes;
     Kind kind;
-    std::uint64_t min; ///< U64/U32: 1 makes zero an error
+    std::uint64_t min; ///< U64/U32: smallest accepted value
     const char *metavar;
     const char *help;
     void (*set)(Options &, const Value &);
@@ -182,8 +183,12 @@ parseCount(const char *flag, const char *text, std::uint64_t min = 0,
     if (*text == '\0' || *end != '\0' || errno == ERANGE ||
         *text == '-' || *text == '+')
         badValue(flag, text, "wants an unsigned integer");
-    if (v < min)
+    if (v == 0 && min == 1)
         badValue(flag, text, "must be positive");
+    if (v < min) {
+        std::string want = "must be at least " + std::to_string(min);
+        badValue(flag, text, want.c_str());
+    }
     if (v > max) {
         std::fprintf(stderr,
                      "%s must be at most %llu, got '%s' (see ppa_cli "
@@ -266,10 +271,13 @@ const Flag kFlags[] = {
      }},
     {"--csq", kRun, Kind::U32, 1, "N", "CSQ entries (default 40)",
      [](Options &o, const Value &v) { o.knobs.csqEntries = v.u32; }},
-    {"--int-prf", kRun, Kind::U32, 0, "N",
-     "integer PRF entries (default 180)",
+    // One register beyond a full architectural map, so rename can
+    // always make progress.
+    {"--int-prf", kRun, Kind::U32, numArchIntRegs + 1, "N",
+     "integer PRF entries (default 180, min 17)",
      [](Options &o, const Value &v) { o.knobs.intPrf = v.u32; }},
-    {"--fp-prf", kRun, Kind::U32, 0, "N", "FP PRF entries (default 168)",
+    {"--fp-prf", kRun, Kind::U32, numArchFpRegs + 1, "N",
+     "FP PRF entries (default 168, min 33)",
      [](Options &o, const Value &v) { o.knobs.fpPrf = v.u32; }},
     {"--wpq", kRun, Kind::U32, 1, "N",
      "WPQ entries per controller (default 16)",
@@ -909,14 +917,14 @@ traceCatMain(Options &o)
                       static_cast<unsigned long long>(inst.memAddr));
         std::string dst = "-";
         if (inst.dst.valid()) {
-            dst = (inst.dst.cls == RegClass::Fp ? "f" : "r") +
-                  std::to_string(inst.dst.idx);
+            dst = inst.dst.cls == RegClass::Fp ? "f" : "r";
+            dst += std::to_string(inst.dst.idx);
         }
         std::string srcs;
         for (int s = 0; s < inst.numSrcs(); ++s) {
             srcs += (s ? "," : "");
-            srcs += (inst.srcs[s].cls == RegClass::Fp ? "f" : "r") +
-                    std::to_string(inst.srcs[s].idx);
+            srcs += inst.srcs[s].cls == RegClass::Fp ? "f" : "r";
+            srcs += std::to_string(inst.srcs[s].idx);
         }
         t.addRow({std::to_string(inst.index), pc,
                   std::string(opName(inst.op)), dst,
