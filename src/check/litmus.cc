@@ -5,7 +5,6 @@
 #include <set>
 #include <sstream>
 
-#include "baselines/replaycache.hh"
 #include "check/observer.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -325,69 +324,40 @@ buildCorpus()
 // ---- engine helpers -----------------------------------------------
 
 /**
- * Records the cycles at which a core and its write buffer saw
- * persistency action; the randomized explorer biases crash points
- * toward them.
+ * Records the cycles at which a core saw a region boundary and those
+ * at which its write buffer saw a persist enqueue or issue; the
+ * randomized explorer biases crash points toward each set.
  */
 class CrashBiasObserver : public PipelineObserver
 {
   public:
-    CrashBiasObserver(const Core &core, std::set<Cycle> &out)
-        : core(core), out(out)
+    CrashBiasObserver(const Core &core, std::set<Cycle> &boundaries,
+                      std::set<Cycle> &persists)
+        : core(core), boundaries(boundaries), persists(persists)
     {
     }
 
     void
     onRegionBoundaryStart(Cycle cycle, RegionEndCause) override
     {
-        out.insert(cycle);
+        boundaries.insert(cycle);
     }
     void
     onPersistEnqueue(Addr, Word, bool) override
     {
-        out.insert(core.cycle());
+        persists.insert(core.cycle());
     }
-    void onPersistIssue(Addr, unsigned) override { out.insert(core.cycle()); }
+    void
+    onPersistIssue(Addr, unsigned) override
+    {
+        persists.insert(core.cycle());
+    }
 
   private:
     const Core &core;
-    std::set<Cycle> &out;
+    std::set<Cycle> &boundaries;
+    std::set<Cycle> &persists;
 };
-
-/** One simulated instance of a litmus test: system plus sources. */
-struct EngineRun
-{
-    explicit EngineRun(const SystemConfig &sc) : system(sc) {}
-
-    System system;
-    std::vector<std::unique_ptr<ProgramExecutor>> execs;
-    std::vector<std::unique_ptr<ReplayCacheTransform>> transforms;
-};
-
-std::unique_ptr<EngineRun>
-makeRun(const LitmusTest &test, SystemVariant variant)
-{
-    const auto n = static_cast<unsigned>(test.threads.size());
-    ExperimentKnobs knobs;
-    knobs.threads = n;
-    SystemConfig sc = makeSystemConfig(variant, knobs, n);
-    auto run = std::make_unique<EngineRun>(sc);
-    for (unsigned t = 0; t < n; ++t)
-        run->system.seedMemory(test.threads[t].initialMemory());
-    for (unsigned t = 0; t < n; ++t) {
-        run->execs.push_back(
-            std::make_unique<ProgramExecutor>(test.threads[t]));
-        if (variant == SystemVariant::ReplayCache) {
-            run->transforms.push_back(
-                std::make_unique<ReplayCacheTransform>(
-                    *run->execs.back(), ReplayCacheParams{}));
-            run->system.bindSource(t, run->transforms.back().get());
-        } else {
-            run->system.bindSource(t, run->execs.back().get());
-        }
-    }
-    return run;
-}
 
 std::string
 valuesStr(const std::vector<Word> &values)
@@ -426,24 +396,50 @@ fnv64(const std::string &s)
     return h;
 }
 
+std::unique_ptr<LitmusRun>
+makeLitmusRun(const LitmusTest &test, SystemVariant variant)
+{
+    const auto n = static_cast<unsigned>(test.threads.size());
+    ExperimentKnobs knobs;
+    knobs.threads = n;
+    SystemConfig sc = makeSystemConfig(variant, knobs, n);
+    auto run = std::make_unique<LitmusRun>(sc);
+    for (unsigned t = 0; t < n; ++t)
+        run->system.seedMemory(test.threads[t].initialMemory());
+    for (unsigned t = 0; t < n; ++t) {
+        run->execs.push_back(
+            std::make_unique<ProgramExecutor>(test.threads[t]));
+        if (variant == SystemVariant::ReplayCache) {
+            run->transforms.push_back(
+                std::make_unique<ReplayCacheTransform>(
+                    *run->execs.back(), ReplayCacheParams{}));
+            run->system.bindSource(t, run->transforms.back().get());
+        } else {
+            run->system.bindSource(t, run->execs.back().get());
+        }
+    }
+    return run;
+}
+
 ReferenceSummary
 runReference(const LitmusTest &test, SystemVariant variant,
              Cycle maxCycles)
 {
     ReferenceSummary ref;
-    std::set<Cycle> interesting;
-    auto run = makeRun(test, variant);
+    std::set<Cycle> boundaries, persists;
+    auto run = makeLitmusRun(test, variant);
     std::vector<std::unique_ptr<CrashBiasObserver>> observers;
     for (unsigned t = 0; t < run->system.numCores(); ++t) {
         observers.push_back(std::make_unique<CrashBiasObserver>(
-            run->system.core(t), interesting));
+            run->system.core(t), boundaries, persists));
         run->system.core(t).attachObserver(observers.back().get());
     }
     while (!run->system.allDone() && run->system.cycle() < maxCycles)
         run->system.tick();
     ref.completed = run->system.allDone();
     ref.endCycle = run->system.cycle();
-    ref.interesting.assign(interesting.begin(), interesting.end());
+    ref.boundaries.assign(boundaries.begin(), boundaries.end());
+    ref.persists.assign(persists.begin(), persists.end());
     return ref;
 }
 
@@ -454,8 +450,9 @@ biasedCrashSchedule(const ReferenceSummary &ref, unsigned schedules,
     Rng rng(seed);
     std::vector<Cycle> crashes;
     crashes.reserve(schedules);
-    const std::vector<Cycle> &hot = ref.interesting;
     for (unsigned k = 0; k < schedules; ++k) {
+        const std::vector<Cycle> &hot =
+            k % 4 == 0 ? ref.boundaries : ref.persists;
         Cycle c;
         if (k % 2 == 0 && !hot.empty()) {
             c = hot[rng.below(hot.size())];
@@ -472,25 +469,31 @@ biasedCrashSchedule(const ReferenceSummary &ref, unsigned schedules,
 }
 
 CrashObservation
-crashObserve(const LitmusTest &test, SystemVariant variant, Cycle cycle)
+crashSystem(System &system, const LitmusTest &test,
+            SystemVariant variant)
 {
-    auto run = makeRun(test, variant);
-    run->system.runUntilCycle(cycle);
-
     CrashObservation obs;
-    obs.cut.reserve(run->system.numCores());
-    for (unsigned t = 0; t < run->system.numCores(); ++t)
-        obs.cut.push_back(run->system.core(t).committedStores());
+    obs.cut.reserve(system.numCores());
+    for (unsigned t = 0; t < system.numCores(); ++t)
+        obs.cut.push_back(system.core(t).committedStores());
 
-    auto images = run->system.powerFail();
+    auto images = system.powerFail();
     if (variant == SystemVariant::Ppa)
-        run->system.recover(images);
+        system.recover(images);
 
     obs.outcome.reserve(test.observed.size());
     for (Addr a : test.observed)
-        obs.outcome.push_back(run->system.memory().nvmImage().read(
-            MemImage::wordAlign(a)));
+        obs.outcome.push_back(
+            system.memory().nvmImage().read(MemImage::wordAlign(a)));
     return obs;
+}
+
+CrashObservation
+crashObserve(const LitmusTest &test, SystemVariant variant, Cycle cycle)
+{
+    auto run = makeLitmusRun(test, variant);
+    run->system.runUntilCycle(cycle);
+    return crashSystem(run->system, test, variant);
 }
 
 const std::vector<LitmusTest> &

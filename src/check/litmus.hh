@@ -23,11 +23,10 @@
  * discriminates between genuinely different allowed sets.
  *
  * Crash points come from exhaustive per-cycle enumeration (small
- * programs) or observer-biased randomized sampling: half the draws
- * land near cycles where each core's observer saw persistency action —
- * region boundaries (including CSQ-full implicit boundaries) and
- * write-buffer persist enqueues/issues (WPQ pressure) — and
- * half are uniform over the run.
+ * programs) or observer-biased randomized sampling: a quarter of the
+ * draws land near region boundaries (including CSQ-full implicit
+ * boundaries), a quarter near write-buffer persist enqueues/issues
+ * (WPQ pressure), and half are uniform over the run.
  *
  * The corpus (litmusCorpus) covers the classic shapes: message
  * passing, store buffering, epoch boundaries, same-address
@@ -39,9 +38,11 @@
 #define PPA_CHECK_LITMUS_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "baselines/replaycache.hh"
 #include "check/model.hh"
 #include "isa/program.hh"
 #include "sim/experiment.hh"
@@ -99,13 +100,15 @@ std::uint64_t fnv64(const std::string &s);
  * What one full (failure-free) reference execution of a test showed:
  * whether it completed within the cycle budget, the cycle it halted
  * on, and the sorted cycles at which the cores' observers saw
- * persistency action (region boundaries, persist enqueue/issue).
+ * persistency action, kept as two hot sets: region boundaries, and
+ * write-buffer persist enqueues/issues.
  */
 struct ReferenceSummary
 {
     bool completed = false;
     Cycle endCycle = 0;
-    std::vector<Cycle> interesting;
+    std::vector<Cycle> boundaries;
+    std::vector<Cycle> persists;
 };
 
 /** Run @p test failure-free on @p variant for at most @p maxCycles. */
@@ -113,9 +116,12 @@ ReferenceSummary runReference(const LitmusTest &test,
                               SystemVariant variant, Cycle maxCycles);
 
 /**
- * Sample @p schedules crash cycles in [1, ref.endCycle]: half jittered
- * around the auditor-reported hot cycles, half uniform. @p seed is
- * used as-is — callers mix in any per-test identity themselves.
+ * Sample @p schedules crash cycles in [1, ref.endCycle]: a quarter
+ * jittered around region boundaries, a quarter around persist events,
+ * half uniform. The hot sets are sampled separately because a store
+ * burst has far more persist events than boundaries, and one pooled
+ * set would almost never land on a boundary. @p seed is used as-is —
+ * callers mix in any per-test identity themselves.
  */
 std::vector<Cycle> biasedCrashSchedule(const ReferenceSummary &ref,
                                        unsigned schedules,
@@ -127,6 +133,29 @@ struct CrashObservation
     PersistModel::StoreCut cut;
     PersistModel::Outcome outcome;
 };
+
+/** One simulated instance of a litmus test: the system plus the
+ *  per-thread sources bound to it. */
+struct LitmusRun
+{
+    explicit LitmusRun(const SystemConfig &sc) : system(sc) {}
+
+    System system;
+    std::vector<std::unique_ptr<ProgramExecutor>> execs;
+    std::vector<std::unique_ptr<ReplayCacheTransform>> transforms;
+};
+
+/** Build @p test on @p variant at cycle 0: memory seeded, sources
+ *  bound. */
+std::unique_ptr<LitmusRun> makeLitmusRun(const LitmusTest &test,
+                                         SystemVariant variant);
+
+/**
+ * Power-fail @p system now, recover it where @p variant supports it,
+ * and read back @p test's observed addresses from its NVM image.
+ */
+CrashObservation crashSystem(System &system, const LitmusTest &test,
+                             SystemVariant variant);
 
 /**
  * Run @p test on @p variant, power-fail at @p cycle, recover where

@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/types.hh"
 #include "ppa/region_stats.hh"
@@ -169,6 +170,91 @@ class PipelineObserver
      */
     virtual void
     onPersistIssue(Addr /*line_addr*/, unsigned /*store_count*/) {}
+};
+
+/**
+ * Forwards every event to each attached observer in attach order. A
+ * core points at its own fan-out only while two or more observers are
+ * attached; with one, the core calls it directly. Held by value in the
+ * core, so a copied core (System::fork) copies it too and then clears
+ * it.
+ */
+class ObserverFanOut final : public PipelineObserver
+{
+  public:
+    using Obs = PipelineObserver;
+
+    std::vector<Obs *> targets;
+
+    void
+    onCycleEnd(Cycle c, unsigned n, StallReason r) override
+    {
+        each(&Obs::onCycleEnd, c, n, r);
+    }
+    void
+    onCommit(std::uint64_t i, bool st) override
+    {
+        each(&Obs::onCommit, i, st);
+    }
+    void
+    onStoreCommit(Addr a, Word v, unsigned g, bool cv, bool io) override
+    {
+        each(&Obs::onStoreCommit, a, v, g, cv, io);
+    }
+    void
+    onAtomicCommit(Addr a, Word v) override
+    {
+        each(&Obs::onAtomicCommit, a, v);
+    }
+    void onRegFree(unsigned g) override { each(&Obs::onRegFree, g); }
+    void onRegWrite(unsigned g) override { each(&Obs::onRegWrite, g); }
+    void
+    onRegionBoundaryStart(Cycle c, RegionEndCause e) override
+    {
+        each(&Obs::onRegionBoundaryStart, c, e);
+    }
+    void
+    onRegionBoundaryComplete() override
+    {
+        each(&Obs::onRegionBoundaryComplete);
+    }
+    void
+    onPowerFail(Cycle c, const CheckpointImage &i) override
+    {
+        each(&Obs::onPowerFail, c, i);
+    }
+    void
+    onRecover(Cycle c, const CheckpointImage &i) override
+    {
+        each(&Obs::onRecover, c, i);
+    }
+    void onCsqPush(const CsqEntry &e) override { each(&Obs::onCsqPush, e); }
+    void onCsqClear(std::size_t n) override { each(&Obs::onCsqClear, n); }
+    void onMaskSet(unsigned g) override { each(&Obs::onMaskSet, g); }
+    void
+    onMaskClearAll(std::size_t n) override
+    {
+        each(&Obs::onMaskClearAll, n);
+    }
+    void
+    onPersistEnqueue(Addr a, Word v, bool co) override
+    {
+        each(&Obs::onPersistEnqueue, a, v, co);
+    }
+    void
+    onPersistIssue(Addr a, unsigned n) override
+    {
+        each(&Obs::onPersistIssue, a, n);
+    }
+
+  private:
+    template <typename... P, typename... A>
+    void
+    each(void (Obs::*fn)(P...), const A &...args)
+    {
+        for (Obs *o : targets)
+            (o->*fn)(args...);
+    }
 };
 
 } // namespace check

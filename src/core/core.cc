@@ -9,91 +9,8 @@
 namespace ppa
 {
 
-/**
- * Forwards every event to each attached observer in attach order. A
- * core points at one of these only while two or more observers are
- * attached; with one, the core calls it directly.
- */
-class ObserverFanOut final : public check::PipelineObserver
-{
-  public:
-    using Obs = check::PipelineObserver;
-
-    std::vector<Obs *> targets;
-
-    void
-    onCycleEnd(Cycle c, unsigned n, check::StallReason r) override
-    {
-        each(&Obs::onCycleEnd, c, n, r);
-    }
-    void
-    onCommit(std::uint64_t i, bool st) override
-    {
-        each(&Obs::onCommit, i, st);
-    }
-    void
-    onStoreCommit(Addr a, Word v, unsigned g, bool cv, bool io) override
-    {
-        each(&Obs::onStoreCommit, a, v, g, cv, io);
-    }
-    void
-    onAtomicCommit(Addr a, Word v) override
-    {
-        each(&Obs::onAtomicCommit, a, v);
-    }
-    void onRegFree(unsigned g) override { each(&Obs::onRegFree, g); }
-    void onRegWrite(unsigned g) override { each(&Obs::onRegWrite, g); }
-    void
-    onRegionBoundaryStart(Cycle c, RegionEndCause e) override
-    {
-        each(&Obs::onRegionBoundaryStart, c, e);
-    }
-    void
-    onRegionBoundaryComplete() override
-    {
-        each(&Obs::onRegionBoundaryComplete);
-    }
-    void
-    onPowerFail(Cycle c, const CheckpointImage &i) override
-    {
-        each(&Obs::onPowerFail, c, i);
-    }
-    void
-    onRecover(Cycle c, const CheckpointImage &i) override
-    {
-        each(&Obs::onRecover, c, i);
-    }
-    void onCsqPush(const CsqEntry &e) override { each(&Obs::onCsqPush, e); }
-    void onCsqClear(std::size_t n) override { each(&Obs::onCsqClear, n); }
-    void onMaskSet(unsigned g) override { each(&Obs::onMaskSet, g); }
-    void
-    onMaskClearAll(std::size_t n) override
-    {
-        each(&Obs::onMaskClearAll, n);
-    }
-    void
-    onPersistEnqueue(Addr a, Word v, bool co) override
-    {
-        each(&Obs::onPersistEnqueue, a, v, co);
-    }
-    void
-    onPersistIssue(Addr a, unsigned n) override
-    {
-        each(&Obs::onPersistIssue, a, n);
-    }
-
-  private:
-    template <typename... P, typename... A>
-    void
-    each(void (Obs::*fn)(P...), const A &...args)
-    {
-        for (Obs *o : targets)
-            (o->*fn)(args...);
-    }
-};
-
 Core::Core(const CoreParams &params, unsigned core_id, MemHierarchy &mem)
-    : cfg(params), coreId(core_id), memory(mem),
+    : cfg(params), coreId(core_id), memory(&mem),
       bpred(params.branchPredictorEntries),
       intPrf(params.intPrfEntries), fpPrf(params.fpPrfEntries),
       intRat(numArchIntRegs), fpRat(numArchFpRegs),
@@ -145,7 +62,17 @@ Core::Core(const CoreParams &params, unsigned core_id, MemHierarchy &mem)
     fus[7].count = cfg.numStorePorts;
 }
 
-Core::~Core() = default;
+Core::Core(const Core &parent, MemHierarchy &mem, CapriChannel *channel)
+    : Core(parent)
+{
+    memory = &mem;
+    capri = channel;
+    src = nullptr;
+    observer = nullptr;
+    fanOut.targets.clear();
+    csq.setObserver(nullptr);
+    maskReg.setObserver(nullptr);
+}
 
 void
 Core::bindSource(DynInstSource *source)
@@ -271,19 +198,17 @@ void
 Core::attachObserver(check::PipelineObserver *obs)
 {
     PPA_ASSERT(obs != nullptr, "attachObserver needs an observer");
-    if (observer && !fanOut) {
-        fanOut = std::make_unique<ObserverFanOut>();
-        fanOut->targets.push_back(observer);
-    }
-    if (fanOut) {
-        fanOut->targets.push_back(obs);
-        observer = fanOut.get();
+    if (observer && fanOut.targets.empty())
+        fanOut.targets.push_back(observer);
+    if (!fanOut.targets.empty()) {
+        fanOut.targets.push_back(obs);
+        observer = &fanOut;
     } else {
         observer = obs;
     }
     csq.setObserver(observer);
     maskReg.setObserver(observer);
-    memory.writeBuffer(coreId).setObserver(observer);
+    memory->writeBuffer(coreId).setObserver(observer);
 }
 
 // --------------------------------------------------------------------
@@ -365,8 +290,8 @@ Core::fetchStage()
         // Instruction-cache access for each new fetch line.
         Addr line = inst.pc & ~Addr{63};
         if (cfg.modelICache && line != lastFetchLine) {
-            bool hit = memory.instHitsL1I(coreId, inst.pc);
-            Cycle done = memory.instFetch(coreId, inst.pc, curCycle);
+            bool hit = memory->instHitsL1I(coreId, inst.pc);
+            Cycle done = memory->instFetch(coreId, inst.pc, curCycle);
             lastFetchLine = line;
             if (!hit) {
                 // Miss: stall the front end until the line arrives.
@@ -644,14 +569,14 @@ Core::tryIssueMem(RobEntry &e, std::uint64_t my_seq)
         e.execResult = match->dataValue;
         e.issued = true;
         scheduleExec(e, my_seq,
-                     curCycle + memory.l1d(coreId).hitLatency());
+                     curCycle + memory->l1d(coreId).hitLatency());
         return true;
     }
 
-    e.execResult = memory.committed().read(e.inst.memAddr);
+    e.execResult = memory->committed().read(e.inst.memAddr);
     e.issued = true;
-    scheduleExec(e, my_seq, memory.load(coreId, e.inst.memAddr,
-                                        curCycle));
+    scheduleExec(e, my_seq, memory->load(coreId, e.inst.memAddr,
+                                         curCycle));
     return true;
 }
 
@@ -870,13 +795,13 @@ Core::mergeCommittedStores()
     PPA_ASSERT(s.valid && s.committed, "merging uncommitted store");
 
     if (s.isClwb) {
-        Cycle ack = memory.clwbLine(coreId, s.addr, curCycle);
+        Cycle ack = memory->clwbLine(coreId, s.addr, curCycle);
         ++outstandingClwbs;
         clwbAcks.push_back(ack);
     } else {
         bool persist = cfg.mode == PersistMode::Ppa;
-        auto res = memory.storeMerge(coreId, s.addr, s.dataValue,
-                                     curCycle, persist);
+        auto res = memory->storeMerge(coreId, s.addr, s.dataValue,
+                                      curCycle, persist);
         if (!res.accepted)
             return; // persist path full; retry next cycle
         mergeInFlight.insert(
@@ -901,10 +826,10 @@ Core::regionBoundaryConditionsMet()
     // counter register reads zero, Section 4.3).
     if (!committedStoreFifo.empty())
         return false;
-    if (memory.outstandingPersists(coreId, curCycle) != 0) {
+    if (memory->outstandingPersists(coreId, curCycle) != 0) {
         // Tell the write buffer to stop write-combining: the barrier
         // needs the residual entries out now.
-        memory.writeBuffer(coreId).setDraining(true);
+        memory->writeBuffer(coreId).setDraining(true);
         return false;
     }
     return true;
@@ -924,7 +849,7 @@ Core::completeRegionBoundary(RegionEndCause cause)
     deferredFrees.clear();
     maskReg.clearAll();
     csq.clear();
-    memory.writeBuffer(coreId).setDraining(false);
+    memory->writeBuffer(coreId).setDraining(false);
     regions.onRegionEnd(cause);
     if (observer)
         observer->onRegionBoundaryComplete();
@@ -936,7 +861,7 @@ Core::retireStoreBookkeeping(RobEntry &e)
     PPA_ASSERT(e.sqIndex >= 0, "store without SQ slot");
     SqEntry &s = sq[static_cast<std::size_t>(e.sqIndex)];
 
-    if (!s.isClwb && memory.ioBuffer().inRange(s.addr)) {
+    if (!s.isClwb && memory->ioBuffer().inRange(s.addr)) {
         // Irrevocable device write (Section 5): the battery-backed
         // I/O buffer makes the store persistent at commit — it never
         // enters the cache hierarchy, the CSQ, or replay.
@@ -944,7 +869,7 @@ Core::retireStoreBookkeeping(RobEntry &e)
             observer->onStoreCommit(s.addr, s.dataValue,
                                     csqZeroRegIndex, false, true);
         }
-        memory.ioBuffer().write(s.addr, s.dataValue);
+        memory->ioBuffer().write(s.addr, s.dataValue);
         releaseSqSlot(e.sqIndex);
         return;
     }
@@ -1065,17 +990,17 @@ Core::commitOne(RobEntry &e)
             completeRegionBoundary(RegionEndCause::SyncPrimitive);
         }
         Word delta = readSrc(e, 0);
-        Word old = memory.committed().read(inst.memAddr);
+        Word old = memory->committed().read(inst.memAddr);
         if (cfg.mode == PersistMode::Ppa) {
-            memory.atomicPersistWrite(coreId, inst.memAddr, old + delta,
-                                      curCycle);
+            memory->atomicPersistWrite(coreId, inst.memAddr,
+                                       old + delta, curCycle);
             if (observer)
                 observer->onAtomicCommit(inst.memAddr, old + delta);
         } else {
-            memory.committed().write(inst.memAddr, old + delta);
+            memory->committed().write(inst.memAddr, old + delta);
             // Timing/traffic for the RMW's cache access.
-            memory.storeMerge(coreId, inst.memAddr, old + delta,
-                              curCycle, false);
+            memory->storeMerge(coreId, inst.memAddr, old + delta,
+                               curCycle, false);
         }
         if (e.newDst != invalidPhysReg) {
             if (observer)
@@ -1219,10 +1144,10 @@ Core::drainStallReason() const
     // structural occupancy (write buffer or an NVM write pending
     // queue at capacity -> WPQ-full) from pacing (room everywhere,
     // just waiting for write latency/bandwidth -> NVM-bandwidth).
-    const WriteBuffer &wb = memory.writeBuffer(coreId);
+    const WriteBuffer &wb = memory->writeBuffer(coreId);
     if (wb.queuedEntries() >= wb.capacityEntries())
         return check::StallReason::WpqFull;
-    const Nvm &nvm = memory.nvm();
+    const Nvm &nvm = memory->nvm();
     for (unsigned mc = 0; mc < nvm.params().numControllers; ++mc) {
         if (nvm.wpqOccupancy(mc, curCycle) >= nvm.params().wpqEntries)
             return check::StallReason::WpqFull;
@@ -1355,13 +1280,13 @@ Core::recover(const CheckpointImage &image)
     // (2) Replay the committed stores, front to rear (idempotent).
     for (const auto &entry : csq.contents()) {
         if (entry.carriesValue) {
-            memory.recoveryWrite(entry.addr, entry.value);
+            memory->recoveryWrite(entry.addr, entry.value);
         } else if (entry.physRegIndex == csqZeroRegIndex) {
-            memory.recoveryWrite(entry.addr, 0);
+            memory->recoveryWrite(entry.addr, 0);
         } else {
             RegClass cls = regIndexer.classOf(entry.physRegIndex);
             PhysReg p = regIndexer.indexOf(entry.physRegIndex);
-            memory.recoveryWrite(entry.addr, prf(cls).value(p));
+            memory->recoveryWrite(entry.addr, prf(cls).value(p));
         }
     }
 

@@ -37,7 +37,6 @@
 #define PPA_CORE_CORE_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "check/observer.hh"
@@ -60,7 +59,7 @@ namespace ppa
 {
 
 class CapriChannel;
-class ObserverFanOut;
+class System;
 
 /**
  * One simulated out-of-order core.
@@ -75,7 +74,7 @@ class Core
      */
     Core(const CoreParams &params, unsigned core_id, MemHierarchy &mem);
 
-    ~Core();
+    Core &operator=(const Core &) = delete;
 
     /** Attach the committed-path instruction source. */
     void bindSource(DynInstSource *source);
@@ -169,6 +168,18 @@ class Core
     std::size_t freeFpRegs() const { return fpFreeList.size(); }
 
   private:
+    friend class System;
+
+    /** Member-wise copy; only the forking constructor uses it. */
+    Core(const Core &) = default;
+
+    /**
+     * A bit-exact copy of @p parent's pipeline and statistics that
+     * uses @p mem as its memory hierarchy and @p channel as its Capri
+     * channel. The copy has no source and no observer (System::fork).
+     */
+    Core(const Core &parent, MemHierarchy &mem, CapriChannel *channel);
+
     // ---- pipeline data structures -----------------------------------
     struct RobEntry
     {
@@ -347,7 +358,7 @@ class Core
     // ---- configuration ----------------------------------------------
     CoreParams cfg;
     unsigned coreId;
-    MemHierarchy &memory;
+    MemHierarchy *memory;
     DynInstSource *src = nullptr;
     CapriChannel *capri = nullptr;
 
@@ -438,7 +449,7 @@ class Core
     /** The attached observer, or the fan-out over several; null when
      *  none is attached. */
     check::PipelineObserver *observer = nullptr;
-    std::unique_ptr<ObserverFanOut> fanOut;
+    check::ObserverFanOut fanOut;
     /** At most one structural-stall reason may fire per cycle; the
      *  commit-side cause is noted first (commit runs first in tick)
      *  and rename's ROB-full symptom only when nothing else claimed

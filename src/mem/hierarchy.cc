@@ -8,21 +8,20 @@ namespace ppa
 MemHierarchy::MemHierarchy(const MemSystemParams &params,
                            unsigned num_cores,
                            const ClockDomain &clock_domain)
-    : cfg(params), numCores(num_cores), clock(clock_domain)
+    : cfg(params), numCores(num_cores), clock(clock_domain),
+      l2Cache(cfg.l2, "l2"), nvmDevice(cfg.nvm, clock)
 {
     for (unsigned c = 0; c < numCores; ++c) {
-        l1iCaches.push_back(std::make_unique<Cache>(cfg.l1i, "l1i"));
-        l1dCaches.push_back(std::make_unique<Cache>(cfg.l1d, "l1d"));
-        writeBuffers.push_back(std::make_unique<WriteBuffer>(
-            cfg.writeBufferEntries, cfg.l1d.lineBytes,
-            cfg.wbCoalesceWindow));
+        l1iCaches.emplace_back(cfg.l1i, "l1i");
+        l1dCaches.emplace_back(cfg.l1d, "l1d");
+        writeBuffers.emplace_back(cfg.writeBufferEntries,
+                                  cfg.l1d.lineBytes,
+                                  cfg.wbCoalesceWindow);
     }
-    l2Cache = std::make_unique<Cache>(cfg.l2, "l2");
     if (cfg.l3Enabled)
-        l3Cache = std::make_unique<Cache>(cfg.l3, "l3");
+        l3Cache.emplace(cfg.l3, "l3");
     if (cfg.dramCache.enabled && !cfg.dramOnly)
-        dramCacheModel = std::make_unique<DramCache>(cfg.dramCache);
-    nvmDevice = std::make_unique<Nvm>(cfg.nvm, clock);
+        dramCacheModel.emplace(cfg.dramCache);
     ioWindow = IoBuffer(cfg.ioWindowBase, cfg.ioWindowBytes);
     dramOnlyLatency = clock.nsToCycles(cfg.dramOnlyLatencyNs);
 }
@@ -32,8 +31,8 @@ MemHierarchy::writebackLineToNvm(Addr line_addr, Cycle now)
 {
     if (cfg.dramOnly)
         return 0; // volatile system: evictions vanish into DRAM
-    auto ticket = nvmDevice->enqueueWrite(line_addr, cfg.l1d.lineBytes,
-                                          now);
+    auto ticket = nvmDevice.enqueueWrite(line_addr, cfg.l1d.lineBytes,
+                                         now);
     persistedImage.copyLineFrom(committedImage, line_addr,
                                 cfg.l1d.lineBytes - 1);
     // A full WPQ back-pressures the eviction: the fill that displaced
@@ -49,7 +48,7 @@ MemHierarchy::cascadeVictim(unsigned level, Addr victim_line, Cycle now)
     // 2: leaving L3 -> DRAM$; 3: leaving DRAM$ -> NVM.
     switch (level) {
       case 0: {
-        auto v = l2Cache->insertWriteback(victim_line, true);
+        auto v = l2Cache.insertWriteback(victim_line, true);
         if (v)
             return cascadeVictim(1, *v, now);
         return 0;
@@ -87,7 +86,7 @@ Cycle
 MemHierarchy::load(unsigned core_id, Addr addr, Cycle now)
 {
     PPA_ASSERT(core_id < numCores, "bad core id ", core_id);
-    Cache &l1 = *l1dCaches[core_id];
+    Cache &l1 = l1dCaches[core_id];
     Cycle lat = l1.hitLatency();
 
     auto r1 = l1.access(addr, false);
@@ -96,8 +95,8 @@ MemHierarchy::load(unsigned core_id, Addr addr, Cycle now)
     if (r1.dirtyVictim)
         lat += cascadeVictim(0, *r1.dirtyVictim, now);
 
-    lat += l2Cache->hitLatency();
-    auto r2 = l2Cache->access(addr, false);
+    lat += l2Cache.hitLatency();
+    auto r2 = l2Cache.access(addr, false);
     if (r2.hit)
         return now + lat;
     if (r2.dirtyVictim)
@@ -124,14 +123,14 @@ MemHierarchy::load(unsigned core_id, Addr addr, Cycle now)
             lat += writebackLineToNvm(*rd.dirtyVictim, now);
     }
 
-    return nvmDevice->readLatency(now) + lat;
+    return nvmDevice.readLatency(now) + lat;
 }
 
 Cycle
 MemHierarchy::instFetch(unsigned core_id, Addr addr, Cycle now)
 {
     PPA_ASSERT(core_id < numCores, "bad core id ", core_id);
-    Cache &l1i = *l1iCaches[core_id];
+    Cache &l1i = l1iCaches[core_id];
     Cycle lat = l1i.hitLatency();
 
     auto r1 = l1i.access(addr, false);
@@ -139,8 +138,8 @@ MemHierarchy::instFetch(unsigned core_id, Addr addr, Cycle now)
         return now + lat;
     // Code is read-only: no dirty victims from the L1I.
 
-    lat += l2Cache->hitLatency();
-    auto r2 = l2Cache->access(addr, false);
+    lat += l2Cache.hitLatency();
+    auto r2 = l2Cache.access(addr, false);
     if (r2.hit)
         return now + lat;
     if (r2.dirtyVictim)
@@ -166,13 +165,13 @@ MemHierarchy::instFetch(unsigned core_id, Addr addr, Cycle now)
         if (rd.dirtyVictim)
             lat += writebackLineToNvm(*rd.dirtyVictim, now);
     }
-    return nvmDevice->readLatency(now) + lat;
+    return nvmDevice.readLatency(now) + lat;
 }
 
 bool
 MemHierarchy::instHitsL1I(unsigned core_id, Addr addr) const
 {
-    return l1iCaches[core_id]->contains(addr);
+    return l1iCaches[core_id].contains(addr);
 }
 
 StoreMergeResult
@@ -180,12 +179,12 @@ MemHierarchy::storeMerge(unsigned core_id, Addr addr, Word value,
                          Cycle now, bool persist)
 {
     PPA_ASSERT(core_id < numCores, "bad core id ", core_id);
-    Cache &l1 = *l1dCaches[core_id];
+    Cache &l1 = l1dCaches[core_id];
 
     if (persist) {
         // The persist path must have room before the store merges,
         // otherwise its persist op would be lost.
-        if (!writeBuffers[core_id]->addStore(addr, value, now))
+        if (!writeBuffers[core_id].addStore(addr, value, now))
             return {false, 0};
     }
 
@@ -197,8 +196,8 @@ MemHierarchy::storeMerge(unsigned core_id, Addr addr, Word value,
     if (!r1.hit) {
         if (r1.dirtyVictim)
             lat += cascadeVictim(0, *r1.dirtyVictim, now);
-        lat += l2Cache->hitLatency();
-        auto r2 = l2Cache->access(addr, false);
+        lat += l2Cache.hitLatency();
+        auto r2 = l2Cache.access(addr, false);
         if (!r2.hit) {
             if (r2.dirtyVictim)
                 lat += cascadeVictim(1, *r2.dirtyVictim, now);
@@ -220,10 +219,10 @@ MemHierarchy::storeMerge(unsigned core_id, Addr addr, Word value,
                         lat += writebackLineToNvm(*rd.dirtyVictim,
                                                   now);
                     }
-                    lat += nvmDevice->readLatency(now) - now;
+                    lat += nvmDevice.readLatency(now) - now;
                 }
             } else {
-                lat += nvmDevice->readLatency(now) - now;
+                lat += nvmDevice.readLatency(now) - now;
             }
         }
     }
@@ -242,16 +241,16 @@ MemHierarchy::clwbLine(unsigned core_id, Addr addr, Cycle now)
 {
     // clwb forces the dirty line (wherever it is) back to NVM; under
     // the ReplayCache baseline this happens synchronously per store.
-    Addr line = l1dCaches[core_id]->lineAlign(addr);
-    l1dCaches[core_id]->cleanLine(line);
-    l2Cache->cleanLine(line);
+    Addr line = l1dCaches[core_id].lineAlign(addr);
+    l1dCaches[core_id].cleanLine(line);
+    l2Cache.cleanLine(line);
     if (l3Cache)
         l3Cache->cleanLine(line);
     if (dramCacheModel)
         dramCacheModel->cleanLine(line);
     if (cfg.dramOnly)
         return now + 1;
-    auto ticket = nvmDevice->enqueueWrite(line, cfg.l1d.lineBytes, now);
+    auto ticket = nvmDevice.enqueueWrite(line, cfg.l1d.lineBytes, now);
     persistedImage.copyLineFrom(committedImage, line,
                                 cfg.l1d.lineBytes - 1);
     return ticket.ackCycle;
@@ -263,13 +262,13 @@ MemHierarchy::tick(Cycle now)
     if (cfg.dramOnly)
         return;
     for (auto &wb : writeBuffers)
-        wb->tick(now, *nvmDevice, persistedImage);
+        wb.tick(now, nvmDevice, persistedImage);
 }
 
 unsigned
 MemHierarchy::outstandingPersists(unsigned core_id, Cycle now)
 {
-    return writeBuffers[core_id]->outstandingStores(now);
+    return writeBuffers[core_id].outstandingStores(now);
 }
 
 Cycle
@@ -278,19 +277,19 @@ MemHierarchy::drainAll(Cycle now)
     Cycle t = now;
     if (!cfg.dramOnly) {
         for (auto &wb : writeBuffers)
-            t = std::max(t, wb->drainAll(t, *nvmDevice, persistedImage));
+            t = std::max(t, wb.drainAll(t, nvmDevice, persistedImage));
     }
 
     // Orderly shutdown: flush remaining dirty lines down to NVM.
     for (auto &l1 : l1dCaches) {
-        for (Addr line : l1->dirtyLines()) {
+        for (Addr line : l1.dirtyLines()) {
             writebackLineToNvm(line, t);
-            l1->cleanLine(line);
+            l1.cleanLine(line);
         }
     }
-    for (Addr line : l2Cache->dirtyLines()) {
+    for (Addr line : l2Cache.dirtyLines()) {
         writebackLineToNvm(line, t);
-        l2Cache->cleanLine(line);
+        l2Cache.cleanLine(line);
     }
     if (l3Cache) {
         for (Addr line : l3Cache->dirtyLines()) {
@@ -304,17 +303,17 @@ MemHierarchy::drainAll(Cycle now)
             dramCacheModel->cleanLine(line);
         }
     }
-    return std::max(t, nvmDevice->drainAllBy());
+    return std::max(t, nvmDevice.drainAllBy());
 }
 
 void
 MemHierarchy::powerFail()
 {
     for (auto &l1 : l1iCaches)
-        l1->invalidateAll();
+        l1.invalidateAll();
     for (auto &l1 : l1dCaches)
-        l1->invalidateAll();
-    l2Cache->invalidateAll();
+        l1.invalidateAll();
+    l2Cache.invalidateAll();
     if (l3Cache)
         l3Cache->invalidateAll();
     if (dramCacheModel)
@@ -323,12 +322,11 @@ MemHierarchy::powerFail()
     // in the WPQ (ADR domain) and were already applied to the NVM
     // image. Reconstruct the write buffers empty, keeping the owning
     // core's observer across the rebuild.
-    for (unsigned c = 0; c < numCores; ++c) {
-        check::PipelineObserver *obs = writeBuffers[c]->observer();
-        writeBuffers[c] = std::make_unique<WriteBuffer>(
-            cfg.writeBufferEntries, cfg.l1d.lineBytes,
-            cfg.wbCoalesceWindow);
-        writeBuffers[c]->setObserver(obs);
+    for (WriteBuffer &wb : writeBuffers) {
+        check::PipelineObserver *obs = wb.observer();
+        wb = WriteBuffer(cfg.writeBufferEntries, cfg.l1d.lineBytes,
+                         cfg.wbCoalesceWindow);
+        wb.setObserver(obs);
     }
 }
 
@@ -341,7 +339,7 @@ MemHierarchy::atomicPersistWrite(unsigned core_id, Addr addr, Word value,
     if (cfg.dramOnly)
         return now + dramOnlyLatency;
     Addr line = addr & ~Addr{cfg.l1d.lineBytes - 1};
-    auto ticket = nvmDevice->enqueueWrite(line, cfg.l1d.lineBytes, now);
+    auto ticket = nvmDevice.enqueueWrite(line, cfg.l1d.lineBytes, now);
     persistedImage.write(addr, value);
     if (dramCacheModel)
         dramCacheModel->updateIfPresent(addr);

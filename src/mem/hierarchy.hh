@@ -20,7 +20,7 @@
 #ifndef PPA_MEM_HIERARCHY_HH
 #define PPA_MEM_HIERARCHY_HH
 
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/types.hh"
@@ -131,21 +131,21 @@ class MemHierarchy
     /** Seed both images with initial contents (program data). */
     void initializeWord(Addr addr, Word value);
 
-    Nvm &nvm() { return *nvmDevice; }
+    Nvm &nvm() { return nvmDevice; }
     /** The battery-backed I/O window (Section 5); may be disabled. */
     IoBuffer &ioBuffer() { return ioWindow; }
     const IoBuffer &ioBuffer() const { return ioWindow; }
-    Cache &l1d(unsigned core_id) { return *l1dCaches[core_id]; }
-    Cache &l2() { return *l2Cache; }
+    Cache &l1d(unsigned core_id) { return l1dCaches[core_id]; }
+    Cache &l2() { return l2Cache; }
     WriteBuffer &writeBuffer(unsigned core_id)
     {
-        return *writeBuffers[core_id];
+        return writeBuffers[core_id];
     }
 
     double
     l2MissRatio() const
     {
-        return l2Cache->missRatio();
+        return l2Cache.missRatio();
     }
 
     const MemSystemParams &params() const { return cfg; }
@@ -168,13 +168,15 @@ class MemHierarchy
     unsigned numCores;
     ClockDomain clock;
 
-    std::vector<std::unique_ptr<Cache>> l1iCaches;
-    std::vector<std::unique_ptr<Cache>> l1dCaches;
-    std::unique_ptr<Cache> l2Cache;
-    std::unique_ptr<Cache> l3Cache; // may be null
-    std::unique_ptr<DramCache> dramCacheModel; // may be null
-    std::unique_ptr<Nvm> nvmDevice;
-    std::vector<std::unique_ptr<WriteBuffer>> writeBuffers;
+    // Every part is held by value, so the defaulted copy is a
+    // complete, independent copy of the memory system (System::fork).
+    std::vector<Cache> l1iCaches;
+    std::vector<Cache> l1dCaches;
+    Cache l2Cache;
+    std::optional<Cache> l3Cache;
+    std::optional<DramCache> dramCacheModel;
+    Nvm nvmDevice;
+    std::vector<WriteBuffer> writeBuffers;
 
     MemImage committedImage;
     MemImage persistedImage;

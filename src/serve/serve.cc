@@ -155,15 +155,15 @@ class AckTracker : public check::PipelineObserver
     Addr ackWord;
 };
 
-/** One fully wired simulation instance (system, streams, transforms,
- *  trackers). Fresh per measurement run and per failure branch. */
+/** One fully wired simulation instance (system, streams, transforms):
+ *  built once for the measurement run and once for the forking run
+ *  that the failure branches are copied from. */
 struct ServeRun
 {
     std::unique_ptr<System> system;
     std::vector<std::unique_ptr<RequestSource>> sources;
     std::vector<std::unique_ptr<UndoRedoLogTransform>> undoRedo;
     std::vector<std::unique_ptr<DelayFreeTransform>> delayFree;
-    std::vector<std::unique_ptr<AckTracker>> trackers;
 };
 
 ServeRun
@@ -205,10 +205,6 @@ makeRun(const ServeConfig &cfg, ServeVariant variant)
             src = run.delayFree.back().get();
         }
         run.system->bindSource(t, src);
-
-        run.trackers.push_back(std::make_unique<AckTracker>(
-            run.system->core(t), ackAddr(t)));
-        run.system->core(t).attachObserver(run.trackers.back().get());
     }
     return run;
 }
@@ -280,52 +276,123 @@ modelRecovery(const ServeConfig &cfg, ServeVariant variant,
     return 0;
 }
 
-FailurePoint
-crashBranch(const ServeConfig &cfg, ServeVariant variant, Cycle crash)
+/**
+ * The measurement run of one variant: runs it to completion with an
+ * AckTracker (and, when configured, telemetry) on every core, fills
+ * @p out's run counters and telemetry, and returns each thread's ack
+ * commit cycles. The run's System is released on return, before the
+ * forking run starts.
+ */
+std::vector<std::vector<Cycle>>
+measureRun(const ServeConfig &cfg, ServeVariant variant,
+           ServeVariantStats &out)
 {
     ServeRun run = makeRun(cfg, variant);
-    run.system->runUntilCycle(crash);
-
-    // Snapshot completion counts before power-fail/recovery: PPA
-    // recovery replays the CSQ, and nothing replayed may be
-    // double-counted as newly completed work.
-    std::vector<std::uint64_t> completed(cfg.threads);
-    for (unsigned t = 0; t < cfg.threads; ++t)
-        completed[t] = run.trackers[t]->ackCycles.size();
-
-    std::vector<CheckpointImage> images = run.system->powerFail();
-    if (variant == ServeVariant::Ppa)
-        run.system->recover(images);
-
-    FailurePoint fp;
-    fp.cycle = crash;
+    std::vector<std::unique_ptr<AckTracker>> trackers;
     for (unsigned t = 0; t < cfg.threads; ++t) {
-        // The durable frontier is read from the post-crash NVM image:
-        // the last sequence number whose ack (PPA, delay-free) or
-        // commit record (undo/redo logging) actually persisted.
-        Addr word = variant == ServeVariant::UndoRedoLog
-                        ? MemImage::wordAlign(commitAddr(t))
-                        : MemImage::wordAlign(ackAddr(t));
-        std::uint64_t durable =
-            run.system->memory().nvmImage().read(word);
-        durable = std::min(durable, completed[t]);
-
-        fp.completedRequests += completed[t];
-        fp.durableRequests += durable;
-        fp.lostRequests += completed[t] - durable;
-
-        // Data-loss window: how far back acknowledged work can
-        // disappear — from the completion of the first lost request
-        // to the crash. Zero when every completed request survived.
-        Cycle window =
-            durable < completed[t]
-                ? crash - run.trackers[t]->ackCycles[durable]
-                : 0;
-        fp.lossWindow = std::max(fp.lossWindow, window);
+        trackers.push_back(std::make_unique<AckTracker>(
+            run.system->core(t), ackAddr(t)));
+        run.system->core(t).attachObserver(trackers.back().get());
     }
-    fp.recoveryCycles =
-        modelRecovery(cfg, variant, images, fp.lostRequests);
-    return fp;
+
+    std::unique_ptr<obs::Telemetry> telem;
+    if (cfg.telemetry) {
+        obs::TelemetryConfig tc;
+        tc.sampleCycles = cfg.telemetrySampleCycles;
+        tc.seriesCap = cfg.telemetrySeriesCap;
+        telem = std::make_unique<obs::Telemetry>(tc, cfg.threads);
+        for (unsigned t = 0; t < cfg.threads; ++t)
+            telem->attach(run.system->core(t), run.system->memory());
+    }
+
+    run.system->run(cycleCap(cfg));
+
+    std::vector<std::vector<Cycle>> acks;
+    for (unsigned t = 0; t < cfg.threads; ++t) {
+        std::vector<Cycle> &ack = trackers[t]->ackCycles;
+        out.completed += ack.size();
+        if (!ack.empty())
+            out.serviceCycles = std::max(out.serviceCycles, ack.back());
+        out.committedInsts += run.system->core(t).committedInsts();
+        out.committedStores += run.system->core(t).committedStores();
+        acks.push_back(std::move(ack));
+    }
+    for (const auto &tf : run.undoRedo) {
+        out.injectedClwbs += tf->injectedClwbs();
+        out.injectedFences += tf->injectedFences();
+        out.injectedLogStores += tf->injectedLogStores();
+    }
+    for (const auto &tf : run.delayFree) {
+        out.injectedClwbs += tf->injectedClwbs();
+        out.injectedFences += tf->injectedFences();
+    }
+    out.nvmWrites = run.system->memory().nvm().writeCount();
+    out.nvmBytesWritten = run.system->memory().nvm().bytesWritten();
+
+    if (telem)
+        out.telemetry = telem->harvest();
+    return acks;
+}
+
+/**
+ * The failure study of one variant. Runs the variant once more and, at
+ * each crash point (ascending), forks the running system, power-fails
+ * the fork (and recovers it, for ppa) and reads the durable frontier
+ * from the fork's NVM image. @p acks holds each thread's ack commit
+ * cycles from the measurement run: a request counts as completed at a
+ * crash when its ack committed in a cycle before the crash cycle.
+ */
+std::vector<FailurePoint>
+forkedFailures(const ServeConfig &cfg, ServeVariant variant,
+               const std::vector<std::vector<Cycle>> &acks,
+               const std::vector<Cycle> &points)
+{
+    ServeRun run = makeRun(cfg, variant);
+    std::vector<FailurePoint> out;
+    out.reserve(points.size());
+    for (Cycle crash : points) {
+        run.system->runUntilCycle(crash);
+        System branch = run.system->fork();
+
+        std::vector<CheckpointImage> images = branch.powerFail();
+        if (variant == ServeVariant::Ppa)
+            branch.recover(images);
+
+        FailurePoint fp;
+        fp.cycle = crash;
+        for (unsigned t = 0; t < cfg.threads; ++t) {
+            const std::vector<Cycle> &ack = acks[t];
+            auto completed = static_cast<std::uint64_t>(
+                std::lower_bound(ack.begin(), ack.end(), crash) -
+                ack.begin());
+            // The durable frontier is read from the post-crash NVM
+            // image: the last sequence number whose ack (PPA,
+            // delay-free) or commit record (undo/redo logging)
+            // actually persisted. Recovery replays the CSQ, so the
+            // frontier is capped at what had completed.
+            Addr word = variant == ServeVariant::UndoRedoLog
+                            ? MemImage::wordAlign(commitAddr(t))
+                            : MemImage::wordAlign(ackAddr(t));
+            std::uint64_t durable = std::min(
+                branch.memory().nvmImage().read(word), completed);
+
+            fp.completedRequests += completed;
+            fp.durableRequests += durable;
+            fp.lostRequests += completed - durable;
+
+            // Data-loss window: how far back acknowledged work can
+            // disappear — from the completion of the first lost
+            // request to the crash. Zero when every completed request
+            // survived.
+            Cycle window =
+                durable < completed ? crash - ack[durable] : 0;
+            fp.lossWindow = std::max(fp.lossWindow, window);
+        }
+        fp.recoveryCycles =
+            modelRecovery(cfg, variant, images, fp.lostRequests);
+        out.push_back(fp);
+    }
+    return out;
 }
 
 } // namespace
@@ -376,65 +443,29 @@ runServeVariant(const ServeConfig &cfg, ServeVariant variant)
     out.variant = variant;
     out.requests = cfg.requests;
 
-    ServeRun run = makeRun(cfg, variant);
-
-    std::unique_ptr<obs::Telemetry> telem;
-    if (cfg.telemetry) {
-        obs::TelemetryConfig tc;
-        tc.sampleCycles = cfg.telemetrySampleCycles;
-        tc.seriesCap = cfg.telemetrySeriesCap;
-        telem = std::make_unique<obs::Telemetry>(tc, cfg.threads);
-        for (unsigned t = 0; t < cfg.threads; ++t)
-            telem->attach(run.system->core(t), run.system->memory());
-    }
-
-    run.system->run(cycleCap(cfg));
-
-    for (unsigned t = 0; t < cfg.threads; ++t) {
-        const AckTracker &tr = *run.trackers[t];
-        out.completed += tr.ackCycles.size();
-        if (!tr.ackCycles.empty())
-            out.serviceCycles =
-                std::max(out.serviceCycles, tr.ackCycles.back());
-        out.committedInsts += run.system->core(t).committedInsts();
-        out.committedStores += run.system->core(t).committedStores();
-    }
-    for (const auto &tf : run.undoRedo) {
-        out.injectedClwbs += tf->injectedClwbs();
-        out.injectedFences += tf->injectedFences();
-        out.injectedLogStores += tf->injectedLogStores();
-    }
-    for (const auto &tf : run.delayFree) {
-        out.injectedClwbs += tf->injectedClwbs();
-        out.injectedFences += tf->injectedFences();
-    }
-    out.nvmWrites = run.system->memory().nvm().writeCount();
-    out.nvmBytesWritten = run.system->memory().nvm().bytesWritten();
-
-    if (telem)
-        out.telemetry = telem->harvest();
+    const std::vector<std::vector<Cycle>> acks =
+        measureRun(cfg, variant, out);
 
     // Open-loop latency: remap the simulated service timeline onto
     // the arrival process with the Lindley recursion (see serve.hh).
     double makespan = 0.0;
     for (unsigned t = 0; t < cfg.threads; ++t) {
-        const AckTracker &tr = *run.trackers[t];
+        const std::vector<Cycle> &ack = acks[t];
         ArrivalProcess arrivals(cfg.arrival,
                                 mixSeed(cfg.seed, t, kArrivalSalt));
         Cycle prev_ack = 0;
         double prev_finish = 0.0;
-        for (std::size_t i = 0; i < tr.ackCycles.size(); ++i) {
+        for (std::size_t i = 0; i < ack.size(); ++i) {
             double arrival = arrivals.next();
-            auto service =
-                static_cast<double>(tr.ackCycles[i] - prev_ack);
-            prev_ack = tr.ackCycles[i];
+            auto service = static_cast<double>(ack[i] - prev_ack);
+            prev_ack = ack[i];
             double start = std::max(arrival, prev_finish);
             double finish = start + service;
             prev_finish = finish;
             out.latency.sample(
                 static_cast<std::uint64_t>(std::llround(
                     finish - arrival)));
-            if (telem) {
+            if (cfg.telemetry) {
                 if (out.telemetry.requestSpans.size() <
                     obs::kRequestSpanCap) {
                     obs::TelemetryRequestSpan span;
@@ -461,9 +492,8 @@ runServeVariant(const ServeConfig &cfg, ServeVariant variant)
             ? static_cast<double>(out.completed) * 1000.0 / makespan
             : 0.0;
 
-    // Failure study: crash fresh branches at evenly spaced points of
-    // the measured service timeline. Branches are independent, so a
-    // worker pool may compute them in any order into indexed slots.
+    // Failure study: crash forks of one run at evenly spaced points of
+    // the measured service timeline.
     if (cfg.failures > 0 && out.serviceCycles > 0) {
         std::vector<Cycle> points;
         points.reserve(cfg.failures);
@@ -472,10 +502,7 @@ runServeVariant(const ServeConfig &cfg, ServeVariant variant)
                       static_cast<Cycle>(k) / (cfg.failures + 1);
             points.push_back(std::max<Cycle>(c, 1));
         }
-        out.failures.resize(points.size());
-        runIndexed(cfg.workers, points.size(), [&](std::size_t i) {
-            out.failures[i] = crashBranch(cfg, variant, points[i]);
-        });
+        out.failures = forkedFailures(cfg, variant, acks, points);
     }
     return out;
 }
@@ -484,11 +511,14 @@ ServeStats
 runServeStudy(const ServeConfig &cfg,
               const std::vector<ServeVariant> &variants)
 {
+    // Variants are independent, so a worker pool may compute them in
+    // any order into indexed slots.
     ServeStats stats;
     stats.config = cfg;
-    stats.variants.reserve(variants.size());
-    for (ServeVariant v : variants)
-        stats.variants.push_back(runServeVariant(cfg, v));
+    stats.variants.resize(variants.size());
+    runIndexed(cfg.workers, variants.size(), [&](std::size_t i) {
+        stats.variants[i] = runServeVariant(cfg, variants[i]);
+    });
     return stats;
 }
 

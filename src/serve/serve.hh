@@ -16,12 +16,14 @@
  *    points of the service timeline: the data-loss window (crash
  *    cycle minus completion cycle of the last *durable* request, read
  *    from the post-crash NVM image), lost-but-completed request
- *    counts, and a modeled software/hardware recovery time.
+ *    counts, and a modeled software/hardware recovery time. Each
+ *    failure branch is a System::fork of one run of the variant,
+ *    taken at the crash cycle, so no branch re-simulates its prefix.
  *
- * Every run is a pure function of (config, variant); failure branches
- * execute on a host worker pool whose size never changes any result
- * (results are stored by branch index — the serial==parallel bitwise
- * contract the serve tests pin).
+ * Every run is a pure function of (config, variant); runServeStudy
+ * runs the variants on a host worker pool whose size never changes
+ * any result (results are stored by variant index — the
+ * serial==parallel bitwise contract the serve tests pin).
  */
 
 #ifndef PPA_SERVE_SERVE_HH
@@ -80,8 +82,9 @@ struct ServeConfig
     /** Injected power-failure points per variant (0 = skip). */
     unsigned failures = 8;
     std::uint64_t seed = 42;
-    /** Host threads for failure branches; 0 = hardware. Scheduling
-     *  metadata only — results are identical for any value. */
+    /** Host threads runServeStudy runs variants on, one variant per
+     *  thread; 0 = hardware. Scheduling metadata only — results are
+     *  identical for any value. */
     unsigned workers = 0;
     /** Collect obs::Telemetry (and request spans) on the
      *  measurement run. */
@@ -142,7 +145,8 @@ struct ServeStats
 ServeVariantStats runServeVariant(const ServeConfig &config,
                                   ServeVariant variant);
 
-/** Run the study for @p variants (in order). */
+/** Run the study for @p variants on ServeConfig::workers host
+ *  threads; results are in @p variants order. */
 ServeStats runServeStudy(const ServeConfig &config,
                          const std::vector<ServeVariant> &variants);
 

@@ -103,6 +103,29 @@ System::recover(const std::vector<CheckpointImage> &images)
         cores[c]->recover(images[c]);
 }
 
+System
+System::fork() const
+{
+    return System(*this, ForkTag{});
+}
+
+System::System(const System &parent, ForkTag)
+    : cfg(parent.cfg), clockDomain(parent.clockDomain),
+      hierarchy(std::make_unique<MemHierarchy>(*parent.hierarchy)),
+      curCycle(parent.curCycle)
+{
+    for (const auto &channel : parent.capriChannels)
+        capriChannels.push_back(std::make_unique<CapriChannel>(*channel));
+    for (unsigned c = 0; c < parent.numCores(); ++c) {
+        CapriChannel *channel = parent.cores[c]->capri
+                                    ? capriChannels.front().get()
+                                    : nullptr;
+        cores.push_back(std::unique_ptr<Core>(
+            new Core(*parent.cores[c], *hierarchy, channel)));
+        hierarchy->writeBuffer(c).setObserver(nullptr);
+    }
+}
+
 std::uint64_t
 System::totalCommitted() const
 {

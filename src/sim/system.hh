@@ -72,6 +72,20 @@ class System
     /** Restore after power-on from per-core checkpoint images. */
     void recover(const std::vector<CheckpointImage> &images);
 
+    /**
+     * A bit-exact, independent copy of the machine at this cycle: the
+     * memory hierarchy (caches, DRAM cache, NVM, write buffers, both
+     * memory images), the Capri channels, and every core's pipeline,
+     * CSQ, MaskReg and statistics. The copy owns all of its state and
+     * points at none of this system's. Sources and observers are not
+     * copied: the copy's cores have no source bound and nothing
+     * attached, so it can be power-failed and recovered without
+     * touching this system's streams. To keep executing it, bind a
+     * source per core and seekTo the stream index the core will fetch
+     * next; attach observers with Core::attachObserver.
+     */
+    System fork() const;
+
     Core &core(unsigned i) { return *cores[i]; }
     const Core &core(unsigned i) const { return *cores[i]; }
     unsigned numCores() const { return static_cast<unsigned>(
@@ -85,6 +99,12 @@ class System
     std::uint64_t totalCommitted() const;
 
   private:
+    struct ForkTag
+    {
+    };
+    /** The forking copy behind fork(). */
+    System(const System &parent, ForkTag);
+
     SystemConfig cfg;
     ClockDomain clockDomain;
     std::unique_ptr<MemHierarchy> hierarchy;

@@ -224,10 +224,11 @@ struct PersistCycles : check::PipelineObserver
 
 TEST(LitmusEngine, CrashBiasSeesEveryPersistPathCycle)
 {
-    // The randomized explorer aims half its crash points at the cycles
-    // runReference reports. Replay the same test with a recorder on
-    // each write buffer alone: every cycle in which a persist entered
-    // or left a write buffer must be among those reported.
+    // The randomized explorer aims a quarter of its crash points at the
+    // persist cycles runReference reports. Replay the same test with a
+    // recorder on each write buffer alone: every cycle in which a
+    // persist entered or left a write buffer must be among those
+    // reported.
     for (const char *name : {"csq-overflow", "wpq-pressure"}) {
         const LitmusTest *test = check::findLitmusTest(name);
         ASSERT_NE(test, nullptr) << name;
@@ -255,8 +256,8 @@ TEST(LitmusEngine, CrashBiasSeesEveryPersistPathCycle)
         ASSERT_EQ(system.cycle(), ref.endCycle) << name;
 
         ASSERT_FALSE(rec.cycles.empty()) << name;
-        const std::set<Cycle> hot(ref.interesting.begin(),
-                                  ref.interesting.end());
+        const std::set<Cycle> hot(ref.persists.begin(),
+                                  ref.persists.end());
         std::vector<Cycle> missed;
         for (Cycle c : rec.cycles) {
             if (!hot.count(c))
@@ -265,6 +266,29 @@ TEST(LitmusEngine, CrashBiasSeesEveryPersistPathCycle)
         EXPECT_TRUE(missed.empty())
             << name << ": " << missed.size() << " of " << rec.cycles.size()
             << " persist cycles unreported, first " << missed.front();
+    }
+}
+
+TEST(LitmusEngine, BoundaryBiasSurvivesPersistFloods)
+{
+    // csq-overflow's store burst reports dozens of persist cycles and
+    // only a handful of region boundaries. Pooled into one hot set, the
+    // persist cycles crowded out the final boundary, and the required
+    // final outcome went unobserved at these seeds of the default
+    // 64-schedule explorer (`ppa_cli litmus explore --all --seed 4`).
+    const LitmusTest *test = check::findLitmusTest("csq-overflow");
+    ASSERT_NE(test, nullptr);
+    check::ReferenceSummary ref = check::runReference(
+        *test, SystemVariant::Ppa, LitmusOptions{}.maxCycles);
+    EXPECT_GT(ref.persists.size(), 4 * ref.boundaries.size());
+    for (std::uint64_t seed : {4, 5, 7}) {
+        LitmusOptions opts;
+        opts.mode = ExploreMode::Randomized;
+        opts.seed = seed;
+        LitmusResult r = check::runLitmusTest(*test, opts);
+        EXPECT_TRUE(r.pass()) << "seed " << seed;
+        EXPECT_EQ(r.vacuous, 0u) << "seed " << seed << ": "
+                                 << (r.notes.empty() ? "" : r.notes[0]);
     }
 }
 

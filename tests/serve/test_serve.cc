@@ -139,14 +139,15 @@ TEST(Serve, StudyIsDeterministic)
 
 TEST(Serve, WorkerCountNeverChangesResults)
 {
-    // The serial == parallel bitwise contract: failure branches are
-    // stored by index, so the host pool size is invisible.
+    // The serial == parallel bitwise contract: variants are stored by
+    // index, so the host pool size is invisible.
     ServeConfig serial = smallConfig();
     serial.workers = 1;
     ServeConfig wide = smallConfig();
     wide.workers = 8;
-    ServeStats a = runServeStudy(serial, {ServeVariant::DelayFree});
-    ServeStats b = runServeStudy(wide, {ServeVariant::DelayFree});
+    ServeStats a = runServeStudy(serial, allServeVariants());
+    ServeStats b = runServeStudy(wide, allServeVariants());
+    ASSERT_EQ(b.variants.size(), allServeVariants().size());
     // workers is scheduling metadata: not echoed into the JSON, and
     // the measured document is bitwise identical.
     EXPECT_EQ(serveToJson(a), serveToJson(b));

@@ -543,8 +543,8 @@ const Flag kFlags[] = {
      "injected power-failure points per variant (default 8)",
      [](Options &o, const Value &v) { o.serve.failures = v.u32; }},
     {"--workers", kServe, Kind::U32, 0, "N",
-     "host threads for failure branches; any value yields identical "
-     "output (default: hardware parallelism)",
+     "host threads the study's variants run on, one variant each; any "
+     "value yields identical output (default: hardware parallelism)",
      [](Options &o, const Value &v) { o.serve.workers = v.u32; }},
 };
 
