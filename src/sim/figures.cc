@@ -824,23 +824,4 @@ reduceFigure(const std::string &name,
     return requireFigure(name).reduce(results);
 }
 
-FigureSweep
-throughputSweep(std::uint64_t instsPerCore, std::uint64_t seed)
-{
-    // Larger default budget than the figure sweeps: KIPS measurement
-    // wants per-job simulation time to dominate per-job system
-    // construction.
-    constexpr std::uint64_t defaultThroughputInsts = 60'000;
-    GridBuilder g{instsPerCore ? instsPerCore : defaultThroughputInsts,
-                  seed, {}};
-    g.cross(profilesNamed(sweepAppNames()),
-            {SystemVariant::Ppa, SystemVariant::Capri,
-             SystemVariant::ReplayCache},
-            g.baseKnobs());
-    return {"BENCH_throughput",
-            "simulated-KIPS host throughput, representative apps x "
-            "persistence variants",
-            std::move(g.jobs)};
-}
-
 } // namespace ppa

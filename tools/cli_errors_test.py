@@ -58,8 +58,10 @@ CASES = [
     # litmus numerics share the same parser.
     (["litmus", "run", "--schedules", "0"], "--schedules must be positive"),
     (["litmus", "run", "--seed", ""], "--seed wants an unsigned integer"),
-    # structural errors: unknown verbs, unreadable reproducers.
+    # structural errors: unknown subcommands and verbs, unreadable
+    # reproducers.
     (["fuzz", "bogus"], "unknown fuzz subcommand"),
+    (["bench"], "unknown subcommand 'bench'"),
     (["fuzz", "repro", "/nonexistent/ppa-fuzz-missing.litmus"],
      "cannot open"),
     # serve: a vacuous request count, malformed reals, negative or
@@ -83,25 +85,14 @@ CASES = [
      "--burst-factor times --on-fraction must be at most 1"),
     (["serve", "--telemetry-trace", "/tmp/x.json"],
      "--telemetry-trace requires --telemetry"),
-    # sweep and bench numerics: garbage must not become a run of the
-    # leading digits, a figure default, or a 0% gate.
+    # sweep numerics: garbage must not become a run of the leading
+    # digits or a figure default.
     (["sweep", "fig11", "--insts", "12x"],
      "--insts wants an unsigned integer"),
     (["sweep", "fig11", "--insts", "abc"],
      "--insts wants an unsigned integer"),
     (["sweep", "fig11", "--jobs", "-2"], "--jobs wants an unsigned integer"),
     (["sweep", "fig11", "--seed", "4.2"], "--seed wants an unsigned integer"),
-    (["bench", "--jobs", "two"], "--jobs wants an unsigned integer"),
-    (["bench", "--insts", "1e5"], "--insts wants an unsigned integer"),
-    (["bench", "--seed", ""], "--seed wants an unsigned integer"),
-    (["bench", "--reps", "0"], "--reps must be positive"),
-    (["bench", "--reps", "3x"], "--reps wants an unsigned integer"),
-    (["bench", "--time-parallel", "k"],
-     "--time-parallel wants an unsigned integer"),
-    (["bench", "--threshold", "abc"],
-     "--threshold wants a non-negative number"),
-    (["bench", "--threshold", "-5"],
-     "--threshold wants a non-negative number"),
     # every subcommand parses through the same strict kind parsers:
     # no bare strtoul (12x as 12, abc as 0 and a run that never ends)
     # and no silent wrap of 32-bit counts above 2^32-1.
@@ -142,7 +133,6 @@ PREFIXES = {
     "profile": [["profile"]],
     "trace": [["trace", "record"], ["trace", "cat", "/nonexistent"]],
     "sweep": [["sweep"]],
-    "bench": [["bench", "--baseline", "/nonexistent"]],
     "litmus": [["litmus", "run"], ["litmus", "explore"]],
     "fuzz": [["fuzz", "run", "--variant", "capri"],
              ["fuzz", "repro", "/nonexistent"]],

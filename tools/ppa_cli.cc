@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -51,10 +50,6 @@
 #include "trace/capture.hh"
 #include "trace/reader.hh"
 
-#ifndef PPA_SOURCE_DIR
-#define PPA_SOURCE_DIR "."
-#endif
-
 using namespace ppa;
 
 namespace
@@ -70,13 +65,12 @@ enum Scope : unsigned
     kCat = 1u << 3,      ///< trace cat
     kTraceDir = 1u << 4, ///< trace info, trace verify
     kSweep = 1u << 5,
-    kBench = 1u << 6,
-    kLitmusList = 1u << 7,
-    kLitmusRun = 1u << 8,
-    kLitmusExplore = 1u << 9,
-    kFuzzRun = 1u << 10,
-    kFuzzRepro = 1u << 11,
-    kServe = 1u << 12,
+    kLitmusList = 1u << 6,
+    kLitmusRun = 1u << 7,
+    kLitmusExplore = 1u << 8,
+    kFuzzRun = 1u << 9,
+    kFuzzRepro = 1u << 10,
+    kServe = 1u << 11,
     kLitmus = kLitmusRun | kLitmusExplore,
 };
 
@@ -85,7 +79,7 @@ enum Scope : unsigned
 struct Options
 {
     std::vector<std::string> args; ///< positional arguments, in order
-    ExperimentKnobs knobs;         ///< run, profile, sweep, bench
+    ExperimentKnobs knobs;         ///< run, profile, sweep
     trace::CaptureSpec capture;    ///< trace record
     check::LitmusOptions litmus;
     fuzz::CampaignOptions fuzz;
@@ -96,11 +90,7 @@ struct Options
     std::string out;
     std::string json;
     std::string telemetryTrace;
-    std::string baseline;
-    std::string traceRoot;    ///< bench --trace
-    unsigned jobs = 0;        ///< sweep, bench
-    unsigned reps = 1;        ///< bench
-    double threshold = 15.0;  ///< bench
+    unsigned jobs = 0;        ///< sweep
     unsigned thread = 0;      ///< trace cat
     std::uint64_t limit = 32; ///< trace cat
     std::uint64_t start = 0;  ///< trace cat
@@ -118,10 +108,10 @@ Options
 optionsFor(unsigned scope)
 {
     Options o;
-    o.knobs.instsPerCore = scope & (kSweep | kBench) ? 0 : 50'000;
+    o.knobs.instsPerCore = scope == kSweep ? 0 : 50'000;
     o.knobs.telemetry = scope == kProfile;
     o.capture.instsPerThread = 50'000;
-    if (scope & (kSweep | kBench))
+    if (scope == kSweep)
         o.out = metrics::resultsDir();
     if (scope == kLitmusExplore)
         o.litmus.mode = check::ExploreMode::Randomized;
@@ -288,7 +278,7 @@ const Flag kFlags[] = {
     {"--l3", kRun, Kind::Switch, 0, nullptr,
      "add an L3 between L2 and DRAM cache",
      [](Options &o, const Value &) { o.knobs.l3Cache = true; }},
-    {"--seed", kRun | kProfile | kRecord | kSweep | kBench | kServe,
+    {"--seed", kRun | kProfile | kRecord | kSweep | kServe,
      Kind::U64, 0, "N",
      "workload seed; every result is bitwise reproducible from it "
      "(default 42)",
@@ -402,20 +392,19 @@ const Flag kFlags[] = {
      "cat: first instruction index (default 0)",
      [](Options &o, const Value &v) { o.start = v.u64; }},
 
-    // sweep, bench
+    // sweep
     {"--list", kSweep, Kind::Stop, 0, nullptr,
      "list the available figure sweeps",
      [](Options &o, const Value &) { o.list = true; }},
-    {"--jobs", kSweep | kBench, Kind::U32, 0, "N",
+    {"--jobs", kSweep, Kind::U32, 0, "N",
      "driver worker threads (default: hardware)",
      [](Options &o, const Value &v) { o.jobs = v.u32; }},
-    {"--insts", kSweep | kBench, Kind::U64, 0, "N",
-     "committed instructions per core (default 0: the figure's own; "
-     "bench 60000)",
+    {"--insts", kSweep, Kind::U64, 0, "N",
+     "committed instructions per core (default 0: the figure's own)",
      [](Options &o, const Value &v) { o.knobs.instsPerCore = v.u64; }},
-    {"--out", kSweep | kBench, Kind::Text, 0, "DIR",
-     "output directory for FIGURE.json or BENCH_throughput.json "
-     "(default: $PPA_RESULTS_DIR or results)",
+    {"--out", kSweep, Kind::Text, 0, "DIR",
+     "output directory for FIGURE.json (default: $PPA_RESULTS_DIR or "
+     "results)",
      [](Options &o, const Value &v) { o.out = v.text; }},
     {"--csv", kSweep, Kind::Switch, 0, nullptr,
      "also write FIGURE.csv next to the JSON",
@@ -423,33 +412,6 @@ const Flag kFlags[] = {
     {"--telemetry", kSweep, Kind::Switch, 0, nullptr,
      "run every job with telemetry attached and write one Chrome trace "
      "per job under FIGURE_telemetry/",
-     [](Options &o, const Value &) { o.knobs.telemetry = true; }},
-    {"--reps", kBench, Kind::U32, 1, "N",
-     "repeat the grid N times, keep each job's best wall time (default "
-     "1)",
-     [](Options &o, const Value &v) { o.reps = v.u32; }},
-    {"--baseline", kBench, Kind::Text, 0, "FILE",
-     "compare aggregate KIPS against a prior BENCH_throughput.json "
-     "(relative paths resolve against the CWD, then the repo root)",
-     [](Options &o, const Value &v) { o.baseline = v.text; }},
-    {"--threshold", kBench, Kind::Real, 0, "PCT",
-     "fail when aggregate KIPS regresses more than PCT% vs the baseline "
-     "(default 15)",
-     [](Options &o, const Value &v) { o.threshold = v.real; }},
-    {"--trace", kBench, Kind::Text, 0, "DIR",
-     "run the grid trace-driven: record (or reuse) one trace per app "
-     "under DIR and replay instead of generating",
-     [](Options &o, const Value &v) { o.traceRoot = v.text; }},
-    {"--time-parallel", kBench, Kind::U32, 0, "K",
-     "also time one long single-app run serial vs split into K segments, "
-     "reusing seeked sources across reps; records "
-     "tpSerialKips/tpKips/tpSpeedup in the JSON extras and gates "
-     "tpSpeedup against the baseline when it records one",
-     [](Options &o, const Value &v) { o.knobs.timeParallel = v.u32; }},
-    {"--telemetry", kBench, Kind::Switch, 0, nullptr,
-     "also time one gcc/ppa run with and without telemetry, record "
-     "telemetryOverheadPct in the JSON extras, and fail when the "
-     "overhead exceeds 5%",
      [](Options &o, const Value &) { o.knobs.telemetry = true; }},
 
     // litmus, fuzz
@@ -572,9 +534,6 @@ const Section kSections[] = {
     {kSweep, "subcommand: sweep — run one figure's full grid in parallel "
              "and print the figure\n"
              "  ppa_cli sweep FIGURE [options]\n"},
-    {kBench, "subcommand: bench — host-throughput benchmark (simulated "
-             "KIPS)\n"
-             "  ppa_cli bench [options]\n"},
     {kLitmusList | kLitmus,
      "subcommand: litmus — persistency-model conformance checks "
      "(docs/CHECKING.md)\n"
@@ -651,7 +610,7 @@ printHelp(unsigned scope)
         return;
     }
     std::printf("usage: ppa_cli [SUBCOMMAND] [options]\n"
-                "subcommands: run (default), sweep, bench, trace, "
+                "subcommands: run (default), sweep, trace, "
                 "profile, litmus, fuzz, serve\n"
                 "flags are grouped by the subcommand they belong to:\n");
     for (const Section &s : kSections) {
@@ -957,333 +916,6 @@ traceVerifyMain(Options &o)
                 dir.c_str(),
                 static_cast<unsigned long long>(r.totalInsts),
                 r.shardCount, r.combinedCrc);
-    return 0;
-}
-
-/**
- * Resolve the bench --baseline path: absolute paths and paths that
- * exist relative to the CWD are taken as-is; other relative paths
- * resolve against the repo root, so `ppa_cli bench --baseline
- * bench/throughput_baseline.json` works from any directory.
- */
-std::string
-resolveBaselinePath(const std::string &path)
-{
-    std::filesystem::path p(path);
-    if (p.is_absolute() || std::filesystem::exists(p))
-        return path;
-    return std::string(PPA_SOURCE_DIR) + "/" + path;
-}
-
-/** Aggregate simulated kilo-instructions per host-second across a
- *  result set: total committed work over total per-job wall time. */
-double
-aggregateKips(const std::vector<JobResult> &results)
-{
-    double insts = 0.0;
-    double wall = 0.0;
-    for (const JobResult &r : results) {
-        insts += static_cast<double>(r.stats.committedInsts);
-        wall += r.wallSeconds;
-    }
-    return wall > 0.0 ? insts / wall / 1e3 : 0.0;
-}
-
-int
-benchMain(Options &o)
-{
-    const std::uint64_t insts = o.knobs.instsPerCore;
-    const std::uint64_t seed = o.knobs.seed;
-    const unsigned reps = o.reps;
-    const unsigned timeParallel = o.knobs.timeParallel;
-    const bool telemetry = o.knobs.telemetry;
-    const std::string &baselinePath = o.baseline;
-    const std::string &traceRoot = o.traceRoot;
-    const double thresholdPct = o.threshold;
-
-    // Fail fast on a bad baseline path: a typo must not cost a full
-    // bench run before it is reported.
-    std::string resolvedBaseline;
-    if (!baselinePath.empty()) {
-        resolvedBaseline = resolveBaselinePath(baselinePath);
-        if (!std::filesystem::exists(resolvedBaseline)) {
-            std::fprintf(stderr,
-                         "bench: baseline file '%s' not found (tried "
-                         "'%s'; relative paths resolve against the "
-                         "CWD, then the repo root)\n",
-                         baselinePath.c_str(),
-                         resolvedBaseline.c_str());
-            return 1;
-        }
-    }
-
-    FigureSweep fs = throughputSweep(insts, seed);
-    if (!traceRoot.empty()) {
-        // Trace-driven bench: one recording per app feeds all its
-        // variant jobs; matching traces from an earlier run are
-        // reused, so only the first run pays the capture cost.
-        for (SweepJob &job : fs.jobs) {
-            trace::CaptureSpec spec;
-            spec.seed = job.knobs.seed;
-            spec.threads = job.knobs.threads;
-            spec.instsPerThread = job.knobs.instsPerCore;
-            std::string dir = traceRoot + "/" + job.profile.name;
-            trace::ensureWorkloadTrace(dir, job.profile, spec);
-            job.knobs.traceDir = dir;
-        }
-        std::fprintf(stderr, "bench: trace-driven from %s\n",
-                     traceRoot.c_str());
-    }
-    ExperimentDriver driver(o.jobs);
-    std::fprintf(stderr,
-                 "bench: %zu jobs x %u rep(s) on %u threads — %s\n",
-                 fs.jobs.size(), reps, driver.workers(),
-                 fs.description.c_str());
-
-    // Repetitions re-run the identical grid; each job keeps its best
-    // (minimum) wall time, which is the standard defense against
-    // scheduling noise on a shared host. Simulation results are
-    // deterministic, so only the timing differs between reps.
-    std::vector<JobResult> results;
-    for (unsigned rep = 0; rep < reps; ++rep) {
-        auto repResults = driver.run(fs.jobs, {});
-        if (rep == 0) {
-            results = std::move(repResults);
-            continue;
-        }
-        for (std::size_t j = 0; j < results.size(); ++j)
-            results[j].wallSeconds = std::min(
-                results[j].wallSeconds, repResults[j].wallSeconds);
-    }
-
-    TextTable t({"workload", "variant", "insts", "wall ms", "KIPS"});
-    double logSum = 0.0;
-    for (const JobResult &r : results) {
-        double kips =
-            r.wallSeconds > 0.0
-                ? static_cast<double>(r.stats.committedInsts) /
-                      r.wallSeconds / 1e3
-                : 0.0;
-        logSum += std::log(std::max(kips, 1e-9));
-        t.addRow({r.job.profile.name, variantToken(r.job.variant),
-                  std::to_string(r.stats.committedInsts),
-                  TextTable::num(r.wallSeconds * 1e3, 2),
-                  TextTable::num(kips, 1)});
-    }
-    std::printf("%s", t.render().c_str());
-
-    double agg = aggregateKips(results);
-    double geomean =
-        results.empty()
-            ? 0.0
-            : std::exp(logSum / static_cast<double>(results.size()));
-    std::printf("aggregate: %.1f KIPS   per-job geomean: %.1f KIPS\n",
-                agg, geomean);
-
-    // Single-app time-parallel series: one long run, serial vs split
-    // into K segments. The speedup is a within-host ratio, so it is
-    // comparable across machines in a way raw KIPS is not — that is
-    // what the baseline gate checks below.
-    double tpSerialKips = 0.0;
-    double tpKips = 0.0;
-    double tpSpeedup = 0.0;
-    if (timeParallel >= 2) {
-        const WorkloadProfile &profile = profileByName("gcc");
-        ExperimentKnobs serialKnobs;
-        serialKnobs.seed = seed;
-        // The long run is 4x the grid's per-job budget: segment
-        // overlap only pays off once per-segment work dominates
-        // per-segment system construction and warmup.
-        serialKnobs.instsPerCore = insts ? insts * 4 : 240'000;
-        ExperimentKnobs segKnobs = serialKnobs;
-        segKnobs.timeParallel = timeParallel;
-        std::fprintf(stderr,
-                     "bench: time-parallel series — gcc/ppa, %llu "
-                     "insts, %u segment(s)\n",
-                     static_cast<unsigned long long>(
-                         serialKnobs.instsPerCore),
-                     timeParallel);
-        SegmentSourceCache cache;
-        double serialBest = 0.0;
-        double tpBest = 0.0;
-        RunStats serialStats;
-        RunStats tpStats;
-        for (unsigned rep = 0; rep < reps; ++rep) {
-            auto t0 = std::chrono::steady_clock::now();
-            serialStats =
-                runWorkload(profile, SystemVariant::Ppa, serialKnobs);
-            auto t1 = std::chrono::steady_clock::now();
-            tpStats = runWorkloadTimeParallel(
-                profile, SystemVariant::Ppa, segKnobs, &cache);
-            auto t2 = std::chrono::steady_clock::now();
-            double serialWall =
-                std::chrono::duration<double>(t1 - t0).count();
-            double tpWall =
-                std::chrono::duration<double>(t2 - t1).count();
-            if (rep == 0 || serialWall < serialBest)
-                serialBest = serialWall;
-            if (rep == 0 || tpWall < tpBest)
-                tpBest = tpWall;
-        }
-        tpSerialKips =
-            serialBest > 0.0
-                ? static_cast<double>(serialStats.committedInsts) /
-                      serialBest / 1e3
-                : 0.0;
-        tpKips = tpBest > 0.0
-                     ? static_cast<double>(tpStats.committedInsts) /
-                           tpBest / 1e3
-                     : 0.0;
-        tpSpeedup = tpBest > 0.0 ? serialBest / tpBest : 0.0;
-        std::printf("time-parallel: serial %.1f KIPS, %u segments "
-                    "%.1f KIPS — %.2fx speedup\n",
-                    tpSerialKips, timeParallel, tpKips, tpSpeedup);
-        std::printf("time-parallel: %llu insts re-generated by source "
-                    "seeks across %u rep(s) (cache reuse)\n",
-                    static_cast<unsigned long long>(
-                        cache.generatorReplayedInsts()),
-                    reps);
-    }
-
-    // Telemetry overhead series: one gcc/ppa run timed with the
-    // collector off and on. The docs/TELEMETRY.md overhead contract
-    // says the *enabled* collector costs < 5%; the null path is
-    // covered by the ordinary aggregate-KIPS gate above because every
-    // grid job runs with telemetry off.
-    double telemetryOverheadPct = 0.0;
-    if (telemetry) {
-        const WorkloadProfile &profile = profileByName("gcc");
-        ExperimentKnobs offKnobs;
-        offKnobs.seed = seed;
-        offKnobs.instsPerCore = insts ? insts : 60'000;
-        ExperimentKnobs onKnobs = offKnobs;
-        onKnobs.telemetry = true;
-        std::fprintf(stderr,
-                     "bench: telemetry overhead series — gcc/ppa, "
-                     "%llu insts\n",
-                     static_cast<unsigned long long>(
-                         offKnobs.instsPerCore));
-        double offBest = 0.0;
-        double onBest = 0.0;
-        for (unsigned rep = 0; rep < reps; ++rep) {
-            auto t0 = std::chrono::steady_clock::now();
-            runWorkload(profile, SystemVariant::Ppa, offKnobs);
-            auto t1 = std::chrono::steady_clock::now();
-            runWorkload(profile, SystemVariant::Ppa, onKnobs);
-            auto t2 = std::chrono::steady_clock::now();
-            double offWall =
-                std::chrono::duration<double>(t1 - t0).count();
-            double onWall =
-                std::chrono::duration<double>(t2 - t1).count();
-            if (rep == 0 || offWall < offBest)
-                offBest = offWall;
-            if (rep == 0 || onWall < onBest)
-                onBest = onWall;
-        }
-        telemetryOverheadPct =
-            offBest > 0.0 ? (onBest / offBest - 1.0) * 100.0 : 0.0;
-        std::printf("telemetry: off %.2f ms, on %.2f ms — %.1f%% "
-                    "overhead\n",
-                    offBest * 1e3, onBest * 1e3, telemetryOverheadPct);
-    }
-
-    std::vector<std::pair<std::string, double>> extra = {
-        {"aggregateKips", agg},
-        {"geomeanKips", geomean},
-        {"reps", static_cast<double>(reps)},
-        {"workers", static_cast<double>(driver.workers())}};
-    if (telemetry)
-        extra.emplace_back("telemetryOverheadPct", telemetryOverheadPct);
-    if (timeParallel >= 2) {
-        extra.emplace_back("tpSegments",
-                           static_cast<double>(timeParallel));
-        extra.emplace_back("tpSerialKips", tpSerialKips);
-        extra.emplace_back("tpKips", tpKips);
-        extra.emplace_back("tpSpeedup", tpSpeedup);
-    }
-    std::string jsonPath = o.out + "/BENCH_throughput.json";
-    if (!metrics::writeFile(jsonPath,
-                            metrics::sweepToJson(fs.name, results,
-                                                 extra)))
-        return 1;
-    std::printf("wrote %s (%zu jobs)\n", jsonPath.c_str(),
-                results.size());
-
-    // Absolute telemetry-overhead gate (no baseline needed: the
-    // contract is a fixed 5% bound, not a regression ratio).
-    if (telemetry && telemetryOverheadPct > 5.0) {
-        std::fprintf(stderr,
-                     "bench: FAIL — telemetry overhead %.1f%% exceeds "
-                     "the 5%% contract\n",
-                     telemetryOverheadPct);
-        return 1;
-    }
-
-    if (baselinePath.empty())
-        return 0;
-
-    // Regression gate: recompute the baseline aggregate from its job
-    // list (rather than trusting its "extra" block) so hand-edited or
-    // older documents still compare apples to apples.
-    const std::string &resolved = resolvedBaseline;
-    std::string text;
-    if (!metrics::readFile(resolved, text))
-        return 1;
-    metrics::JsonValue doc;
-    std::string err;
-    if (!metrics::JsonValue::parse(text, doc, err)) {
-        std::fprintf(stderr, "bench: cannot parse baseline %s: %s\n",
-                     resolved.c_str(), err.c_str());
-        return 1;
-    }
-    double baseInsts = 0.0;
-    double baseWall = 0.0;
-    const auto &baseJobs = doc.field("jobs");
-    for (std::size_t j = 0; j < baseJobs.size(); ++j) {
-        const auto &job = baseJobs.at(j);
-        baseInsts += static_cast<double>(
-            job.field("stats").field("committedInsts").asUint64());
-        baseWall += job.field("wallSeconds").asDouble();
-    }
-    double baseAgg = baseWall > 0.0 ? baseInsts / baseWall / 1e3 : 0.0;
-    if (baseAgg <= 0.0) {
-        std::fprintf(stderr, "bench: baseline %s has no timed jobs\n",
-                     resolved.c_str());
-        return 1;
-    }
-    double ratio = agg / baseAgg;
-    std::printf("baseline: %.1f KIPS (%s) — current/baseline %.2fx\n",
-                baseAgg, resolved.c_str(), ratio);
-    if (ratio < 1.0 - thresholdPct / 100.0) {
-        std::fprintf(stderr,
-                     "bench: FAIL — aggregate KIPS regressed %.1f%% "
-                     "(threshold %.1f%%)\n",
-                     (1.0 - ratio) * 100.0, thresholdPct);
-        return 1;
-    }
-    // Time-parallel speedup gate: a within-host ratio, so it survives
-    // machine changes that shift raw KIPS. Only enforced when both
-    // this run and the baseline measured it.
-    if (tpSpeedup > 0.0 && doc.hasField("extra") &&
-        doc.field("extra").hasField("tpSpeedup")) {
-        double baseSpeedup =
-            doc.field("extra").field("tpSpeedup").asDouble();
-        if (baseSpeedup > 0.0) {
-            double spRatio = tpSpeedup / baseSpeedup;
-            std::printf("baseline tpSpeedup: %.2fx — "
-                        "current/baseline %.2fx\n",
-                        baseSpeedup, spRatio);
-            if (spRatio < 1.0 - thresholdPct / 100.0) {
-                std::fprintf(stderr,
-                             "bench: FAIL — time-parallel speedup "
-                             "regressed %.1f%% (threshold %.1f%%)\n",
-                             (1.0 - spRatio) * 100.0, thresholdPct);
-                return 1;
-            }
-        }
-    }
-    std::printf("bench: OK (within %.1f%% of baseline)\n",
-                thresholdPct);
     return 0;
 }
 
@@ -2003,7 +1635,6 @@ const Command kCommands[] = {
     {"trace cat", kCat, 1, traceCatMain},
     {"trace verify", kTraceDir, 1, traceVerifyMain},
     {"sweep", kSweep, 1, sweepMain},
-    {"bench", kBench, 0, benchMain},
     {"litmus list", kLitmusList, 0, litmusListMain},
     {"litmus run", kLitmusRun, SIZE_MAX, litmusMain},
     {"litmus explore", kLitmusExplore, SIZE_MAX, litmusMain},
@@ -2017,8 +1648,9 @@ const Command kCommands[] = {
 int
 main(int argc, char **argv)
 {
-    // "ppa_cli SUB [VERB] args...": a bare or unknown SUB is the
-    // default run subcommand; trace, litmus and fuzz need a VERB.
+    // "ppa_cli SUB [VERB] args...": with no SUB (the first argument is
+    // a flag) the default run subcommand runs; trace, litmus and fuzz
+    // need a VERB.
     const std::string sub = argc > 1 ? argv[1] : "";
     const std::string verb = argc > 2 ? argv[2] : "";
     const Command *cmd = &kCommands[0];
@@ -2051,6 +1683,12 @@ main(int argc, char **argv)
         else
             std::fprintf(stderr, "unknown %s subcommand '%s' (%s)\n",
                          sub.c_str(), verb.c_str(), verbs.c_str());
+        return 1;
+    }
+    if (used == 1 && !sub.empty() && sub[0] != '-') {
+        std::fprintf(stderr,
+                     "unknown subcommand '%s' (see ppa_cli --help)\n",
+                     sub.c_str());
         return 1;
     }
 
